@@ -5,13 +5,17 @@
  * BENCH_throughput.json so successive PRs accumulate a perf
  * trajectory.
  *
- * Two measurements per thread count:
+ * Four measurements per thread count:
  *
  *  - instrumented: the honest per-window walk (Eq. (1) op counts +
  *    Table V statistics), one serial image loop with the engine
  *    parallelizing over output channels internally.
  *  - fast: the Fast-mode engine driven by the parallel dataset loop
  *    of workload/evaluator.cc (the end-to-end accuracy path).
+ *  - serving exact / serving predictive: the Serving-mode walk that
+ *    snapea_serve runs per request, under the exact plan and under
+ *    the synthetic predictive plan, one serial image loop like
+ *    instrumented.
  *
  * The run doubles as a determinism check: outputs and statistics at
  * the highest thread count must be bitwise identical to the
@@ -67,6 +71,8 @@ struct Run
     double instr_macs_per_sec = 0.0;
     double fast_sec = 0.0;
     double fast_imgs_per_sec = 0.0;
+    double serve_exact_sec = 0.0;
+    double serve_pred_sec = 0.0;
 };
 
 /** Instrumented stats + outputs of one pass, for the determinism check. */
@@ -95,6 +101,27 @@ runInstrumentedPass(const Network &net, const NetworkPlan &plan,
                                    st.pos_sample.end());
     }
     return r;
+}
+
+/** Best-of-@p repeats seconds for one Serving-mode pass over @p images. */
+double
+timeServingPass(const Network &net, const NetworkPlan &plan,
+                const std::vector<Tensor> &images, int repeats)
+{
+    SnapeaEngine engine(net, plan);
+    engine.setMode(ExecMode::Serving);
+    net.forward(images[0], &engine);  // warmup
+    double best = 0.0;
+    for (int rep = 0; rep < repeats; ++rep) {
+        auto t0 = std::chrono::steady_clock::now();
+        for (const Tensor &img : images)
+            net.forward(img, &engine);
+        const double sec =
+            seconds(t0, std::chrono::steady_clock::now());
+        if (rep == 0 || sec < best)
+            best = sec;
+    }
+    return best;
 }
 
 bool
@@ -195,6 +222,7 @@ main(int argc, char **argv)
         params[l].assign(conv.spec().out_channels, sp);
     }
     const NetworkPlan plan = makeNetworkPlan(*net, params);
+    const NetworkPlan exact_plan = makeExactNetworkPlan(*net);
 
     const int hw = util::threadCount();
     std::set<int> counts{1, 2, 8, hw};
@@ -240,6 +268,11 @@ main(int argc, char **argv)
         }
         run.fast_imgs_per_sec = data.images.size() / run.fast_sec;
 
+        run.serve_exact_sec =
+            timeServingPass(*net, exact_plan, data.images, repeats);
+        run.serve_pred_sec =
+            timeServingPass(*net, plan, data.images, repeats);
+
         if (t == 1)
             ref = ir;
         last = std::move(ir);
@@ -275,9 +308,10 @@ main(int argc, char **argv)
     const kernels::CpuInfo &cpu = kernels::cpuInfo();
     const kernels::KernelOps &kops = kernels::kernelOps();
 
+    const size_t n_img = data.images.size();
     Table tbl({"Threads", "Instr img/s", "Instr MMAC/s", "Fast img/s",
-               "Note"});
-    char buf[4][64];
+               "Serve-exact img/s", "Serve-pred img/s", "Note"});
+    char buf[6][64];
     for (const Run &r : runs) {
         std::snprintf(buf[0], sizeof(buf[0]), "%d", r.threads);
         std::snprintf(buf[1], sizeof(buf[1]), "%.2f",
@@ -286,7 +320,11 @@ main(int argc, char **argv)
                       r.instr_macs_per_sec / 1e6);
         std::snprintf(buf[3], sizeof(buf[3]), "%.2f",
                       r.fast_imgs_per_sec);
-        tbl.addRow({buf[0], buf[1], buf[2], buf[3],
+        std::snprintf(buf[4], sizeof(buf[4]), "%.2f",
+                      n_img / r.serve_exact_sec);
+        std::snprintf(buf[5], sizeof(buf[5]), "%.2f",
+                      n_img / r.serve_pred_sec);
+        tbl.addRow({buf[0], buf[1], buf[2], buf[3], buf[4], buf[5],
                     r.oversubscribed ? "oversubscribed" : ""});
     }
     tbl.print();
@@ -340,11 +378,17 @@ main(int argc, char **argv)
                      "\"instrumented_images_per_sec\": %.3f, "
                      "\"instrumented_macs_per_sec\": %.0f, "
                      "\"fast_sec\": %.4f, "
-                     "\"fast_images_per_sec\": %.3f}%s\n",
+                     "\"fast_images_per_sec\": %.3f, "
+                     "\"serving_exact_sec\": %.4f, "
+                     "\"serving_exact_images_per_sec\": %.3f, "
+                     "\"serving_predictive_sec\": %.4f, "
+                     "\"serving_predictive_images_per_sec\": %.3f}%s\n",
                      r.threads, r.oversubscribed ? "true" : "false",
                      r.instr_sec, r.instr_imgs_per_sec,
                      r.instr_macs_per_sec, r.fast_sec,
-                     r.fast_imgs_per_sec,
+                     r.fast_imgs_per_sec, r.serve_exact_sec,
+                     n_img / r.serve_exact_sec, r.serve_pred_sec,
+                     n_img / r.serve_pred_sec,
                      i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

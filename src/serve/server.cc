@@ -448,6 +448,8 @@ Server::runRequest(Request &req, ServeLevel level,
             sendReply(*req.conn, MsgType::InferReply, req.req_id,
                       WireStatus::Ok, level, reply);
             stats_.recordCompleted(level, nowNs() - req.admit_ns);
+            if (level == ServeLevel::Predictive)
+                maybeAudit(req, reply);
             return;
         } catch (const TransientError &) {
             transient = true; // injected fault or watchdog-cut stall

@@ -4,7 +4,7 @@
  * with reordered weights, early termination, and the Predictive
  * Activation Unit's checks (Sections II-B and V).
  *
- * Two modes exist because the two consumers need different costs:
+ * Three modes exist because the consumers need different costs:
  *
  *  - Fast: outputs only.  The plain convolution is computed and
  *    speculatively-negative windows are squashed using just their
@@ -13,24 +13,29 @@
  *  - Instrumented: the honest reordered walk per window, producing
  *    Eq. (1) op counts for the cycle simulator plus the true/false
  *    negative statistics of Table V.
+ *  - Serving: the same honest walk with nothing recorded, so the
+ *    MACs a terminated window skips are skipped in wall clock too.
  *
- * Both modes produce identical zeroing decisions (the prefix sums are
- * accumulated in the same order); completed windows may differ in the
- * last float ulp because accumulation order differs.
+ * All modes produce identical zeroing decisions (the prefix sums are
+ * accumulated in the same order); completed windows may differ from
+ * the dense convolution in the last float ulp because accumulation
+ * order differs.
  *
- * Both modes run on the SIMD row kernels of snapea/kernels/ for
- * windows away from the input borders (several windows per lane-
- * register, early termination via vector masks) and on the scalar
- * walkWindow/prefixSum paths for border windows; per-window
- * arithmetic is bitwise identical either way in default mode (see
- * kernels.hh for the SNAPEA_RELAXED_ACCUM contract).
+ * Every mode copies a conv's input once into a zero-padded buffer
+ * and walks every window — border windows included — on the SIMD
+ * row kernels of snapea/kernels/ (several windows per lane-register,
+ * early termination via vector masks).  A padding tap reads 0.0f and
+ * counts as an op, exactly as the bounds-checked walkWindow/prefixSum
+ * reference does, so per-window arithmetic is bitwise identical to
+ * that reference in default mode (see kernels.hh for the
+ * SNAPEA_RELAXED_ACCUM contract).  walkWindow/prefixSum remain the
+ * reference for tests and the optimizer's own per-window walks.
  *
- * Thread-safety: Fast mode is re-entrant (the evaluator drives one
- * engine from its parallel image loop); Instrumented and Serving
- * modes use per-engine scratch (Instrumented also mutates shared
- * statistics), so each such engine must be driven by one thread at a
- * time — snapea_serve gives every worker thread its own Serving
- * engines over the shared plans.
+ * Thread-safety: the padded copy and the walk results live in
+ * per-thread buffers, so Fast and Serving modes are re-entrant (the
+ * evaluator drives one Fast engine from its parallel image loop).
+ * Instrumented mode mutates per-engine counters and statistics, so
+ * such an engine must be driven by one thread at a time.
  */
 
 #ifndef SNAPEA_SNAPEA_ENGINE_HH
@@ -38,7 +43,6 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -175,13 +179,12 @@ enum class ExecMode {
      * deployed PE does per request, and what snapea_serve runs —
      * service time under the Serving mode scales with Eq. (1) op
      * counts, making the predictive accuracy knob a genuine latency
-     * lever.  Thread-confined like Instrumented (per-engine
-     * scratch); distinct engines may run concurrently.
+     * lever.  Re-entrant like Fast: it keeps no per-engine state.
      */
     Serving,
 };
 
-struct EngineScratch;
+struct PaddedWalk;
 
 /**
  * ConvOverride implementing SnaPEA execution for the layers present
@@ -197,7 +200,6 @@ class SnapeaEngine : public ConvOverride
      * @param plan Per-layer kernel plans.
      */
     SnapeaEngine(const Network &net, NetworkPlan plan);
-    ~SnapeaEngine() override;
 
     /** Select fast or instrumented execution. */
     void setMode(ExecMode mode) { mode_ = mode; }
@@ -232,18 +234,23 @@ class SnapeaEngine : public ConvOverride
   private:
     struct PreparedLayer
     {
-        std::vector<PreparedKernel> kernels;
-        /** SoA panel form of each kernel for the SIMD row kernels. */
+        /**
+         * SoA panel form of each kernel for the SIMD row kernels,
+         * with tap offsets into the zero-padded input.
+         */
         std::vector<kernels::PackedKernel> packed;
+        int in_h = 0, in_w = 0;  ///< Unpadded input geometry.
+        int32_t max_off = 0;     ///< Furthest tap of any kernel.
         bool any_predictive = false;
     };
 
-    void runFast(int layer_idx, const Conv2D &conv, const Tensor &in,
-                 Tensor &out);
-    void runServing(int layer_idx, const Conv2D &conv,
-                    const Tensor &in, Tensor &out);
-    void runInstrumented(int layer_idx, const Conv2D &conv,
-                         const Tensor &in, Tensor &out);
+    void runFast(const PreparedLayer &pl, const Conv2D &conv,
+                 const Tensor &in, const PaddedWalk &pw, Tensor &out);
+    void runServing(const PreparedLayer &pl, const PaddedWalk &pw,
+                    Tensor &out);
+    void runInstrumented(int layer_idx, const PreparedLayer &pl,
+                         const Conv2D &conv, const Tensor &in,
+                         const PaddedWalk &pw, Tensor &out);
 
     const Network &net_;
     NetworkPlan plan_;
@@ -252,8 +259,11 @@ class SnapeaEngine : public ConvOverride
     bool collect_traces_ = false;
     std::map<int, LayerExecStats> stats_;
     std::vector<ImageTrace> traces_;
-    /** Reusable instrumented-mode buffers (see engine.cc). */
-    std::unique_ptr<EngineScratch> scratch_;
+    /**
+     * Instrumented mode's per-kernel counters of the current layer,
+     * merged into stats_ in kernel order.
+     */
+    std::vector<LayerExecStats> parts_;
 };
 
 } // namespace snapea

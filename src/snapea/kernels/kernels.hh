@@ -51,10 +51,11 @@ enum class Isa {
 const char *isaName(Isa isa);
 
 /**
- * One kernel packed for the row kernels: weights and flat interior
- * input offsets in execution order, plus the PAU configuration.
- * Built from a PreparedKernel once per plan (see engine.cc); the
- * offsets are only valid for windows away from the input borders.
+ * One kernel packed for the row kernels: weights and flat input
+ * offsets in execution order, plus the PAU configuration.  Built
+ * from a PreparedKernel once per plan (see engine.cc), with offsets
+ * for the engine's zero-padded input geometry, where every window is
+ * interior.
  */
 struct PackedKernel
 {
@@ -204,8 +205,11 @@ void setActiveIsa(Isa isa);
 /**
  * Largest output-x range [xlo, xhi) whose windows lie fully inside
  * an input row of width @p iw (no padding taps), for a row whose
- * vertical extent is already in bounds.  The row kernels only run
- * on such spans; border windows keep the scalar padding paths.
+ * vertical extent is already in bounds.  Only the dense convolution
+ * (nn/conv.cc) still splits rows this way: it skips padding taps
+ * instead of adding w*0, so its border windows keep a scalar path.
+ * The SnaPEA engine walks a zero-padded copy instead and needs no
+ * split.
  */
 inline void
 interiorXSpan(int iw, int kernel_w, int stride, int pad, int ow,

@@ -566,11 +566,12 @@ runEngine(ExecMode mode)
 } // namespace
 
 /**
- * A full engine run — Fast and Instrumented — produces identical
- * output bits and identical termination statistics whether the
- * kernels dispatch scalar or the best compiled SIMD variant.
+ * A full engine run — Fast, Instrumented and Serving — produces
+ * identical output bits and identical termination statistics
+ * whichever kernel variant dispatches: every available ISA against
+ * scalar.
  */
-TEST(KernelEngine, ScalarAndBestIsaRunsBitwiseIdentical)
+TEST(KernelEngine, EveryIsaRunsBitwiseIdentical)
 {
     const std::vector<kernels::Isa> simd = simdIsas();
     if (simd.empty())
@@ -578,32 +579,42 @@ TEST(KernelEngine, ScalarAndBestIsaRunsBitwiseIdentical)
     IsaGuard guard;
 
     for (const ExecMode mode :
-         {ExecMode::Fast, ExecMode::Instrumented}) {
+         {ExecMode::Fast, ExecMode::Instrumented, ExecMode::Serving}) {
         kernels::setActiveIsa(kernels::Isa::Scalar);
         const EngineRun ref = runEngine(mode);
-        kernels::setActiveIsa(simd.back());
-        const EngineRun got = runEngine(mode);
+        for (const kernels::Isa isa : simd) {
+            kernels::setActiveIsa(isa);
+            const EngineRun got = runEngine(mode);
+            const std::string where = std::string(kernels::isaName(isa))
+                + " mode " + std::to_string(static_cast<int>(mode));
 
-        ASSERT_EQ(ref.outputs.size(), got.outputs.size());
-        for (size_t i = 0; i < ref.outputs.size(); ++i) {
-            ASSERT_EQ(ref.outputs[i].shape(), got.outputs[i].shape());
-            EXPECT_EQ(std::memcmp(ref.outputs[i].data(),
-                                  got.outputs[i].data(),
-                                  ref.outputs[i].size()
-                                      * sizeof(float)),
-                      0)
-                << "image " << i;
-        }
-        ASSERT_EQ(ref.stats.size(), got.stats.size());
-        for (const auto &[l, st] : ref.stats) {
-            ASSERT_TRUE(got.stats.count(l));
-            const LayerExecStats &gs = got.stats.at(l);
-            EXPECT_EQ(st.macs_performed, gs.macs_performed);
-            EXPECT_EQ(st.spec_terminated, gs.spec_terminated);
-            EXPECT_EQ(st.sign_terminated, gs.sign_terminated);
-            EXPECT_EQ(st.completed, gs.completed);
-            EXPECT_EQ(st.true_negative, gs.true_negative);
-            EXPECT_EQ(st.false_negative, gs.false_negative);
+            ASSERT_EQ(ref.outputs.size(), got.outputs.size());
+            for (size_t i = 0; i < ref.outputs.size(); ++i) {
+                ASSERT_EQ(ref.outputs[i].shape(),
+                          got.outputs[i].shape());
+                EXPECT_EQ(std::memcmp(ref.outputs[i].data(),
+                                      got.outputs[i].data(),
+                                      ref.outputs[i].size()
+                                          * sizeof(float)),
+                          0)
+                    << where << " image " << i;
+            }
+            ASSERT_EQ(ref.stats.size(), got.stats.size());
+            for (const auto &[l, st] : ref.stats) {
+                ASSERT_TRUE(got.stats.count(l));
+                const LayerExecStats &gs = got.stats.at(l);
+                EXPECT_EQ(st.macs_performed, gs.macs_performed) << where;
+                EXPECT_EQ(st.spec_terminated, gs.spec_terminated)
+                    << where;
+                EXPECT_EQ(st.sign_terminated, gs.sign_terminated)
+                    << where;
+                EXPECT_EQ(st.completed, gs.completed) << where;
+                EXPECT_EQ(st.true_negative, gs.true_negative) << where;
+                EXPECT_EQ(st.false_negative, gs.false_negative)
+                    << where;
+                EXPECT_EQ(st.fn_values, gs.fn_values) << where;
+                EXPECT_EQ(st.pos_sample, gs.pos_sample) << where;
+            }
         }
     }
 }

@@ -498,6 +498,55 @@ TEST(Serve, FloodIsRejectedNotQueuedAndEveryReplyIsExactBits)
     EXPECT_EQ(st.admittedTotal() + st.rejectedTotal(), kRequests);
 }
 
+TEST(Serve, InProcessPredictiveRepliesAreAudited)
+{
+    // The shadow audit guards the in-process path as well as the
+    // pooled one: a flood pushes the ladder to Predictive, and with
+    // audit_rate 1 every predictive Ok reply is re-run in exact mode.
+    ServerConfig cfg;
+    cfg.queue_capacity = 8;
+    cfg.workers = 1;
+    cfg.batch_max = 2;
+    cfg.audit_rate = 1;
+    cfg.audit_budget = 1.0; // never veto: keep Predictive in play
+    StatusOr<std::unique_ptr<Server>> server = Server::start(cfg);
+    ASSERT_TRUE(server.ok()) << server.status().toString();
+
+    StatusOr<ServeClient> client =
+        ServeClient::connect("", server.value()->port());
+    ASSERT_TRUE(client.ok()) << client.status().toString();
+    constexpr uint64_t kRequests = 80;
+    for (uint64_t id = 1; id <= kRequests; ++id) {
+        ASSERT_TRUE(client.value()
+                        .sendInfer(id, cold().input.data(),
+                                   cold().input.size())
+                        .ok());
+    }
+    client.value().finishSending();
+    uint64_t predictive_ok = 0;
+    for (;;) {
+        StatusOr<Reply> r = client.value().readReply();
+        if (!r.ok())
+            break;
+        if (r.value().status == WireStatus::Ok && r.value().level == 1)
+            ++predictive_ok;
+    }
+    ASSERT_GT(predictive_ok, 0u) << "flood never reached Predictive";
+
+    // Draining joins the audit thread once its queue is empty, so
+    // every sampled reply has been re-run (or counted as dropped).
+    server.value()->drainAndJoin();
+    const std::string js = server.value()->statsJson();
+    const std::string key = "\"audit\": {\"samples\": ";
+    const size_t at = js.find(key);
+    ASSERT_NE(at, std::string::npos) << js;
+    const uint64_t samples =
+        std::strtoull(js.c_str() + at + key.size(), nullptr, 10);
+    EXPECT_GT(samples, 0u) << js;
+    EXPECT_EQ(samples, server.value()->stats().auditSamplesTotal());
+    EXPECT_LE(samples, predictive_ok);
+}
+
 TEST(Serve, StaleBacklogIsShedAtTheDeadline)
 {
     ServerConfig cfg;

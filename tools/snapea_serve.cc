@@ -331,20 +331,12 @@ main(int argc, char **argv)
     std::fprintf(stdout, "listening on 127.0.0.1:%u\n",
                  static_cast<unsigned>(server.value()->port()));
     std::fflush(stdout);
-    if (!port_file.empty()) {
-        Status st = atomicWriteFile(
-            port_file, std::to_string(server.value()->port()));
-        if (!st.ok()) {
-            std::fprintf(stderr, "snapea_serve: %s\n",
-                         st.toString().c_str());
-            return kExitRuntime;
-        }
-    }
-
     // Chaos hook: arm fault injection only now, so model build and
     // calibration ran clean and the injected faults land on the
     // request path (where the retry/shed machinery is the thing under
-    // test).
+    // test).  Arm before publishing the port file: a client that
+    // waits for the file must never reach an unarmed daemon (the
+    // file's directory fsync can take long on a busy disk).
     if (!fault_spec.empty()) {
         Status st = setFaultSpec(fault_spec);
         if (st.ok()) {
@@ -355,6 +347,16 @@ main(int argc, char **argv)
             std::fprintf(stderr, "snapea_serve: --fault: %s\n",
                          st.toString().c_str());
             return kExitUsage;
+        }
+    }
+
+    if (!port_file.empty()) {
+        Status st = atomicWriteFile(
+            port_file, std::to_string(server.value()->port()));
+        if (!st.ok()) {
+            std::fprintf(stderr, "snapea_serve: %s\n",
+                         st.toString().c_str());
+            return kExitRuntime;
         }
     }
 
