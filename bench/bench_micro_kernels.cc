@@ -162,6 +162,7 @@ struct SweepShape
 
 constexpr SweepShape kSweepShapes[] = {
     {"c3k11_48", 3, 11, 48, 48},   // conv1-like: few channels, big k.
+    {"c16k3_80", 16, 3, 80, 80},   // VGG-80 stage 1: 78-window rows.
     {"c16k5_24", 16, 5, 24, 24},   // mid layer.
     {"c32k3_32", 32, 3, 32, 32},   // deep layer, roomy map.
     {"c64k3_12", 64, 3, 12, 12},   // deep layer, tiny map.
@@ -315,23 +316,30 @@ registerSweepForIsa(kernels::Isa isa)
                                         * f.packed.prefix_len);
             });
 
-        benchmark::RegisterBenchmark(
-            ("WalkRow" + shape + suffix).c_str(),
-            [si, ko](benchmark::State &state) {
-                SweepFixture &f = sweepFixture(si);
-                const kernels::WalkSoa res{f.out.data(),
-                                           f.full.data(),
-                                           f.ops.data(),
-                                           f.flags.data()};
-                for (auto _ : state) {
-                    ko->walk_row(f.packed, f.input.data(), 1, f.n,
-                                false, res);
-                    benchmark::DoNotOptimize(f.out.data());
-                }
-                state.SetItemsProcessed(
-                    state.iterations() * f.n
-                    * static_cast<int>(f.packed.w.size()));
-            });
+        // The walk under both recording policies: Instrumented
+        // (WalkRow: out, ops, flags, full) and Serving (WalkServing:
+        // out only).  Items are nominal taps, n * ks.
+        for (const bool serving : {false, true}) {
+            benchmark::RegisterBenchmark(
+                ((serving ? "WalkServing" : "WalkRow") + shape + suffix)
+                    .c_str(),
+                [si, ko, serving](benchmark::State &state) {
+                    SweepFixture &f = sweepFixture(si);
+                    const kernels::WalkSoa res = serving
+                        ? kernels::WalkSoa{f.out.data()}
+                        : kernels::WalkSoa{f.out.data(), f.full.data(),
+                                           f.ops.data(), f.flags.data()};
+                    for (auto _ : state) {
+                        ko->walk_row(f.packed, f.input.data(), 1, f.n,
+                                     /*nonneg=*/true,
+                                     /*need_full=*/false, res);
+                        benchmark::DoNotOptimize(f.out.data());
+                    }
+                    state.SetItemsProcessed(
+                        state.iterations() * f.n
+                        * static_cast<int>(f.packed.w.size()));
+                });
+        }
 
         benchmark::RegisterBenchmark(
             ("ConvChan" + shape + suffix).c_str(),

@@ -221,6 +221,7 @@ struct PaddedWalk
     int rows = 1;               ///< Output rows per span.
     int n = 0;                  ///< Windows walked per span.
     int32_t max_off = 0;        ///< Furthest tap of any kernel.
+    bool nonneg = true;         ///< Every input value is >= 0.
 
     /**
      * Walk each span with @p walk(win0), then hand its output rows
@@ -279,7 +280,9 @@ thread_local ThreadBuffers tl_buffers;
 
 /**
  * Copy @p in into the calling thread's zero-padded buffer and lay out
- * the spans for an output of @p oh x @p ow.
+ * the spans for an output of @p oh x @p ow.  The copy also records
+ * whether every input value is >= 0 (a NaN is not), the input half
+ * of walk_row's block-check precondition.
  */
 PaddedWalk
 padInput(const Tensor &in, int pad, int stride, int oh, int ow,
@@ -303,14 +306,20 @@ padInput(const Tensor &in, int pad, int stride, int oh, int ow,
     const size_t plane = static_cast<size_t>(ihp) * pw.iwp;
     buf.assign(ch * plane + static_cast<size_t>(pw.n - span) * stride,
                0.0f);
+    int negative = 0;
     for (int c = 0; c < ch; ++c) {
         for (int y = 0; y < ih; ++y) {
-            std::copy_n(in.data() + (static_cast<size_t>(c) * ih + y) * iw,
-                        iw,
-                        buf.data() + c * plane
-                            + static_cast<size_t>(y + pad) * pw.iwp + pad);
+            const float *src =
+                in.data() + (static_cast<size_t>(c) * ih + y) * iw;
+            float *dst = buf.data() + c * plane
+                + static_cast<size_t>(y + pad) * pw.iwp + pad;
+            for (int x = 0; x < iw; ++x) {
+                dst[x] = src[x];
+                negative |= !(src[x] >= 0.0f);
+            }
         }
     }
+    pw.nonneg = !negative;
     pw.in = buf.data();
     pw.size = buf.size();
     return pw;
@@ -469,20 +478,21 @@ SnapeaEngine::runServing(const PreparedLayer &pl, const PaddedWalk &pw,
     const size_t plane = static_cast<size_t>(pw.oh) * pw.ow;
 
     // The same honest walk as instrumented mode, reduced to what a
-    // deployed PE does: need_full=false, so a terminated window stops
-    // paying MACs right there, and no counters or samples — wall
-    // clock tracks Eq. (1) instead of the full convolution.  Kernels
-    // write disjoint output planes, so outputs are bitwise identical
-    // for any thread count, same as the other modes.
+    // deployed PE does: the Serving policy records only the value
+    // written, so a terminated window stops paying MACs right there,
+    // and no counters or samples — wall clock tracks Eq. (1) instead
+    // of the full convolution.  Kernels write disjoint output planes,
+    // so outputs are bitwise identical for any thread count, same as
+    // the other modes.
     util::parallel_for(
         0, static_cast<std::int64_t>(pl.packed.size()), 1,
         [&](std::int64_t o) {
             const kernels::PackedKernel &pp = pl.packed[o];
-            const kernels::WalkSoa soa = tl_buffers.span.soa(pw.n);
+            const kernels::WalkSoa soa{tl_buffers.span.soa(pw.n).out};
             float *dst = out.data() + o * plane;
             pw.forEachSpan(
                 [&](const float *win0) {
-                    kops.walk_row(pp, win0, pw.stride, pw.n,
+                    kops.walk_row(pp, win0, pw.stride, pw.n, pw.nonneg,
                                   /*need_full=*/false, soa);
                 },
                 [&](int y, size_t i0) {
@@ -554,7 +564,7 @@ SnapeaEngine::runInstrumented(int layer_idx, const PreparedLayer &pl,
         size_t widx = 0;
         pw.forEachSpan(
             [&](const float *win0) {
-                kops.walk_row(pp, win0, pw.stride, pw.n,
+                kops.walk_row(pp, win0, pw.stride, pw.n, pw.nonneg,
                               /*need_full=*/true, soa);
             },
             [&](int y, size_t i0) {

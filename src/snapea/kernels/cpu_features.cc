@@ -19,7 +19,6 @@ probe()
 {
     CpuInfo info;
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
-    info.has_sse2 = __builtin_cpu_supports("sse2");
     info.has_avx2 = __builtin_cpu_supports("avx2");
     info.has_fma = __builtin_cpu_supports("fma");
 #endif

@@ -16,7 +16,6 @@ namespace snapea::kernels {
 /** What the host CPU offers; values are best-effort with fallbacks. */
 struct CpuInfo
 {
-    bool has_sse2 = false;
     bool has_avx2 = false;
     bool has_fma = false;
     size_t l1d_bytes = 0;       ///< L1 data cache capacity.

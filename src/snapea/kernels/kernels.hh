@@ -4,7 +4,7 @@
  *
  * The functional simulator spends its time in three inner loops: the
  * dense convolution fallback (nn/conv.cc), the Fast-mode prefix
- * squash, and the Instrumented-mode per-window walk (snapea/
+ * squash, and the Serving/Instrumented window walk (snapea/
  * engine.cc).  This module rewrites all three as row kernels that
  * evaluate several output windows per lane-register — the software
  * analogue of the paper's multi-lane PE, where each SIMD lane plays
@@ -26,9 +26,9 @@
  * then agree with the scalar reference only to tolerance.
  *
  * Variants are selected at runtime by CPUID dispatch (kernelOps());
- * the SNAPEA_SIMD environment variable (auto|scalar|sse2|avx2)
- * overrides downward, falling back with a warning when the request
- * is not compiled in or not supported by the CPU.
+ * the SNAPEA_SIMD environment variable (auto|scalar|avx2) overrides
+ * downward, falling back with a warning when the request is not
+ * compiled in or not supported by the CPU.
  */
 
 #ifndef SNAPEA_SNAPEA_KERNELS_KERNELS_HH
@@ -43,11 +43,10 @@ namespace snapea::kernels {
 /** Instruction-set tiers a kernel variant can target. */
 enum class Isa {
     Scalar = 0,  ///< Portable reference kernels.
-    Sse2 = 1,    ///< 4 windows per 128-bit register.
     Avx2 = 2,    ///< 8 windows per 256-bit register.
 };
 
-/** Human-readable ISA name ("scalar", "sse2", "avx2"). */
+/** Human-readable ISA name ("scalar", "avx2"). */
 const char *isaName(Isa isa);
 
 /**
@@ -66,6 +65,12 @@ struct PackedKernel
     float th = 0.0f;             ///< Speculation threshold (Th).
     float bias = 0.0f;           ///< Accumulator initial value.
     int panel = 0;               ///< Taps per L1-sized panel.
+    /**
+     * Every negative-run weight is finite, so on inputs in [0, +inf]
+     * no negative-run product is NaN: half of walk_row's block-check
+     * precondition (the other half is the input's).
+     */
+    bool neg_finite = true;
 };
 
 /** Pack weights + interior offsets into a PackedKernel. */
@@ -86,7 +91,9 @@ int panelTaps(int ks);
  * @p n consecutive windows, where window x starts at
  * @p win0 + x * stride.  Taps are visited in panels of @p panel, in
  * order within each panel, so per-window accumulation order equals
- * the scalar loop's.  Every tap of every window must be in bounds.
+ * the scalar loop's.  Vector variants run several register tiles of
+ * windows per tap, so one weight broadcast feeds independent add
+ * chains.  Every tap of every window must be in bounds.
  */
 using ConvRowFn = void (*)(const float *win0, int stride, int n,
                            const float *w, const int32_t *off,
@@ -108,9 +115,14 @@ inline constexpr uint8_t kWalkSignFired = 2;  ///< Sign check fired.
 inline constexpr uint8_t kWalkFullKnown = 4;  ///< full[] is valid.
 
 /**
- * SoA result row of an instrumented walk: one entry per window.
- * full[] holds the true convolution value where kWalkFullKnown is
- * set and 0.0f otherwise (matching WindowWalk's default).
+ * SoA result row of a walk: one entry per window.  Which fields are
+ * set selects the walk's recording policy:
+ *
+ *  - Serving: only out is set, the rest are null.  The walk writes
+ *    the value the PE emits and nothing else.
+ *  - Instrumented: all four are set.  full[] holds the true
+ *    convolution value where kWalkFullKnown is set and 0.0f
+ *    otherwise (matching WindowWalk's default).
  */
 struct WalkSoa
 {
@@ -118,18 +130,49 @@ struct WalkSoa
     float *full = nullptr;    ///< True convolution value (if known).
     int32_t *ops = nullptr;   ///< Eq. (1) MAC count until termination.
     uint8_t *flags = nullptr; ///< kWalk* bits.
+
+    /** True for the Instrumented policy (everything recorded). */
+    bool instrumented() const { return ops != nullptr; }
+
+    /** The same row from window @p x on. */
+    WalkSoa from(size_t x) const
+    {
+        if (!instrumented())
+            return {out + x};
+        return {out + x, full + x, ops + x, flags + x};
+    }
 };
 
 /**
- * Instrumented row walk: the honest three-phase window walk
- * (speculation prefix + threshold check, positive run, negative run
- * with per-tap sign checks) for @p n consecutive interior windows,
- * with termination handled per lane by masks.  Semantics per window
- * are identical to engine.cc's walkWindow on an interior window.
+ * Row walk: the honest three-phase window walk (speculation prefix +
+ * threshold check, positive run, negative run with sign checks) for
+ * @p n consecutive interior windows, window x starting at
+ * @p win0 + x * stride.  Per window, every recorded field is bitwise
+ * what engine.cc's walkWindow gives on an interior window: the value
+ * written, the exact Eq. (1) termination tap, and with @p need_full
+ * (Instrumented policy only) the true sum of a speculated window,
+ * settled by the same sign rule.
+ *
+ * Vector variants check signs once per block of negative-run taps,
+ * with no per-tap bookkeeping.  That is exact because in the
+ * negative run a partial sum never rises: a lane negative at the
+ * block's end fired inside the block, and one that is not never
+ * fired.  Only a tile with a newly negative lane re-runs the block
+ * from its saved accumulator with per-tap checks, which recovers
+ * the firing tap and the partial sum the PE writes.  Lanes that fired
+ * keep accumulating and are masked out of every result.
+ *
+ * The precondition is that every negative-run product is <= 0 and
+ * never NaN: finite negative weights (PackedKernel::neg_finite) and
+ * inputs in [0, +inf].  @p nonneg is the caller's promise of the
+ * latter, derived from the data (padInput in engine.cc: every value
+ * >= 0, a NaN counts as not).  Without both halves the vector walks
+ * check every tap, which is the scalar reference's behaviour, so
+ * outputs are bitwise the reference's on any input.
  */
 using WalkRowFn = void (*)(const PackedKernel &pk, const float *win0,
-                           int stride, int n, bool need_full,
-                           const WalkSoa &res);
+                           int stride, int n, bool nonneg,
+                           bool need_full, const WalkSoa &res);
 
 /**
  * Channel-major window batch, for feature maps too small for the

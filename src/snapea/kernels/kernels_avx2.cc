@@ -5,9 +5,15 @@
  * Each lane accumulates its window's taps in plan order with
  * separate mul and add, so results are bitwise identical to the
  * scalar reference; the relaxed variants (SNAPEA_RELAXED_ACCUM)
- * substitute fused multiply-add.  Ragged `n % 8` row tails use
- * masked loads/gathers/stores for the dense and prefix kernels and
- * the scalar reference for the walk kernel.
+ * substitute fused multiply-add.
+ *
+ * The row kernels run groups of 4, then 2, then 1 register tiles:
+ * every tile of a group takes the same weight broadcast, and its
+ * independent add chain hides the others' FP-add latency.  The walk
+ * checks signs once per block of 8 negative-run taps and re-runs
+ * only a block in which a tile's lane fired (see WalkRowFn).  Ragged
+ * `n % 8` row tails use masked loads/gathers/stores for the dense and
+ * prefix kernels and the scalar reference for the walk kernel.
  *
  * This TU is compiled with -mavx2 -mfma (see src/snapea/
  * CMakeLists.txt) and only ever called after runtime CPUID dispatch
@@ -79,6 +85,28 @@ mad(__m256 acc, __m256 vw, __m256 vx)
         return _mm256_add_ps(acc, _mm256_mul_ps(vw, vx));
 }
 
+/**
+ * Taps [t0, t1) of @p G full tiles of 8 windows, tile g starting
+ * @p tstep floats after tile g-1, accumulating into out[].
+ */
+template <int G, bool S1, bool R>
+inline void
+convTiles(const float *base, size_t tstep, __m256i vlx, const float *w,
+          const int32_t *off, int t0, int t1, float *out)
+{
+    __m256 acc[G];
+    for (int g = 0; g < G; ++g)
+        acc[g] = _mm256_loadu_ps(out + g * kLanes);
+    for (int t = t0; t < t1; ++t) {
+        const __m256 vw = _mm256_set1_ps(w[t]);
+        for (int g = 0; g < G; ++g)
+            acc[g] = mad<R>(acc[g], vw,
+                            load8<S1>(base + g * tstep + off[t], vlx));
+    }
+    for (int g = 0; g < G; ++g)
+        _mm256_storeu_ps(out + g * kLanes, acc[g]);
+}
+
 template <bool S1, bool R>
 void
 convRow(const float *win0, int stride, int n, const float *w,
@@ -90,6 +118,7 @@ convRow(const float *win0, int stride, int n, const float *w,
     const int rem = n % kLanes;
     const int nv = n - rem;
     const __m256i tmask = tailMask(rem);
+    const size_t tstep = static_cast<size_t>(kLanes) * stride;
 
     for (int x = 0; x < nv; x += kLanes)
         _mm256_storeu_ps(out + x, vbias);
@@ -98,16 +127,16 @@ convRow(const float *win0, int stride, int n, const float *w,
 
     for (int t0 = 0; t0 < ntaps; t0 += panel) {
         const int t1 = std::min(t0 + panel, ntaps);
-        for (int x = 0; x < nv; x += kLanes) {
-            const float *base = win0 + static_cast<size_t>(x) * stride;
-            __m256 acc = _mm256_loadu_ps(out + x);
-            for (int t = t0; t < t1; ++t) {
-                const __m256 vw = _mm256_set1_ps(w[t]);
-                const __m256 vx = load8<S1>(base + off[t], vlx);
-                acc = mad<R>(acc, vw, vx);
-            }
-            _mm256_storeu_ps(out + x, acc);
-        }
+        int x = 0;
+        for (; x + 4 * kLanes <= nv; x += 4 * kLanes)
+            convTiles<4, S1, R>(win0 + x * static_cast<size_t>(stride),
+                                tstep, vlx, w, off, t0, t1, out + x);
+        for (; x + 2 * kLanes <= nv; x += 2 * kLanes)
+            convTiles<2, S1, R>(win0 + x * static_cast<size_t>(stride),
+                                tstep, vlx, w, off, t0, t1, out + x);
+        for (; x < nv; x += kLanes)
+            convTiles<1, S1, R>(win0 + x * static_cast<size_t>(stride),
+                                tstep, vlx, w, off, t0, t1, out + x);
         if (rem) {
             const float *base = win0 + static_cast<size_t>(nv) * stride;
             __m256 acc = _mm256_maskload_ps(out + nv, tmask);
@@ -166,133 +195,169 @@ prefixRow(const PackedKernel &pk, const float *win0, int stride, int n,
     }
 }
 
-/** The three-phase walk for one full tile of 8 interior windows. */
-template <bool S1, bool R>
+/**
+ * The walk of @p G full tiles of 8 windows, tile g starting @p tstep
+ * floats after tile g-1, with the negative run checked once per
+ * @p block taps.  Rec selects the Instrumented recording policy (out,
+ * full, ops, flags); without it only out is written.
+ */
+template <int G, bool Rec, bool S1, bool R>
 void
-walkTile(const PackedKernel &pk, const float *base, __m256i vlx,
-         bool need_full, const WalkSoa &res)
+walkGroup(const PackedKernel &pk, const float *base, size_t tstep,
+          __m256i vlx, int block, bool need_full, const WalkSoa &res)
 {
     const float *w = pk.w.data();
     const int32_t *off = pk.off.data();
     const int ks = static_cast<int>(pk.w.size());
     const __m256 vzero = _mm256_setzero_ps();
+    const __m256 vones = _mm256_castsi256_ps(_mm256_set1_epi32(-1));
+
+    // One weight broadcast feeds the G tiles' independent add chains.
+    __m256 acc[G];
+    const auto step = [&](int t) {
+        const __m256 vw = _mm256_set1_ps(w[t]);
+        for (int g = 0; g < G; ++g)
+            acc[g] = mad<R>(acc[g], vw,
+                            load8<S1>(base + g * tstep + off[t], vlx));
+    };
 
     // Phase 1: speculation prefix plus the PAU threshold check.
-    __m256 acc = _mm256_set1_ps(pk.bias);
-    for (int t = 0; t < pk.prefix_len; ++t) {
-        const __m256 vw = _mm256_set1_ps(w[t]);
-        const __m256 vx = load8<S1>(base + off[t], vlx);
-        acc = mad<R>(acc, vw, vx);
-    }
-    const __m256 spec = pk.prefix_len > 0
-        ? _mm256_cmp_ps(acc, _mm256_set1_ps(pk.th), _CMP_LE_OQ)
-        : vzero;
-    const int spec_m = _mm256_movemask_ps(spec);
+    for (int g = 0; g < G; ++g)
+        acc[g] = _mm256_set1_ps(pk.bias);
+    for (int t = 0; t < pk.prefix_len; ++t)
+        step(t);
 
-    // Phase 1b: for speculated lanes, continue (without counting
-    // ops) until the true sign settles, freezing each lane's sum the
-    // moment it goes negative inside the negative-weight run —
-    // exactly walkWindow's need_full continuation, per lane.
-    __m256 spec_full = vzero;
-    if (spec_m && need_full) {
-        __m256 full = acc;
-        __m256 settled = vzero;
-        for (int j = pk.prefix_len; j < ks; ++j) {
-            const __m256 vw = _mm256_set1_ps(w[j]);
-            const __m256 vx = load8<S1>(base + off[j], vlx);
-            const __m256 fnew = mad<R>(full, vw, vx);
-            full = _mm256_blendv_ps(fnew, full, settled);
-            if (j >= pk.neg_start) {
-                const __m256 neg =
-                    _mm256_cmp_ps(full, vzero, _CMP_LT_OQ);
-                settled = _mm256_or_ps(settled,
-                                       _mm256_and_ps(neg, spec));
-                if (_mm256_movemask_ps(settled) == spec_m)
-                    break;
+    // Lanes the walk must settle: those the prefix did not speculate,
+    // and with need_full the speculated ones too, whose true sum
+    // settles by the same sign rule.  A settled lane's value waits in
+    // val[] while its accumulator runs on unobserved.
+    __m256 spec[G], live[G], fired[G], val[G];
+    __m256i ops[G];
+    int live_m[G], fired_m[G];
+    bool open = false;
+    for (int g = 0; g < G; ++g) {
+        spec[g] = pk.prefix_len > 0
+            ? _mm256_cmp_ps(acc[g], _mm256_set1_ps(pk.th), _CMP_LE_OQ)
+            : vzero;
+        live[g] = need_full ? vones : _mm256_andnot_ps(spec[g], vones);
+        live_m[g] = _mm256_movemask_ps(live[g]);
+        fired[g] = vzero;
+        val[g] = vzero;
+        fired_m[g] = 0;
+        if constexpr (Rec)
+            ops[g] = _mm256_set1_epi32(ks);
+        open |= live_m[g] != 0;
+    }
+
+    if (open) {
+        // Phase 2: remaining positive weights, no checks needed.
+        int t = pk.prefix_len;
+        for (; t < pk.neg_start; ++t)
+            step(t);
+
+        // Phase 3: the negative run, one sign check per block.
+        while (t < ks) {
+            const int t1 = std::min(t + block, ks);
+            __m256 save[G];
+            for (int g = 0; g < G; ++g)
+                save[g] = acc[g];
+            for (int u = t; u < t1; ++u)
+                step(u);
+            bool settled = true;
+            for (int g = 0; g < G; ++g) {
+                const int neg = _mm256_movemask_ps(
+                    _mm256_cmp_ps(acc[g], vzero, _CMP_LT_OQ));
+                if (neg & live_m[g] & ~fired_m[g]) {
+                    // Re-run this tile's block tap by tap.  The sums
+                    // repeat the fast pass bit for bit, so acc[g]
+                    // needs no update.
+                    const float *tb = base + g * tstep;
+                    __m256 a = save[g];
+                    for (int u = t; u < t1; ++u) {
+                        a = mad<R>(a, _mm256_set1_ps(w[u]),
+                                   load8<S1>(tb + off[u], vlx));
+                        const __m256 newly = _mm256_andnot_ps(
+                            fired[g],
+                            _mm256_and_ps(
+                                _mm256_cmp_ps(a, vzero, _CMP_LT_OQ),
+                                live[g]));
+                        val[g] = _mm256_blendv_ps(val[g], a, newly);
+                        if constexpr (Rec)
+                            ops[g] = _mm256_blendv_epi8(
+                                ops[g], _mm256_set1_epi32(u + 1),
+                                _mm256_castps_si256(newly));
+                        fired[g] = _mm256_or_ps(fired[g], newly);
+                    }
+                    fired_m[g] = _mm256_movemask_ps(fired[g]);
+                }
+                settled &= fired_m[g] == live_m[g];
+            }
+            if (settled)
+                break;
+            t = t1;
+        }
+    }
+
+    // Per lane: the settled value (partial sum at the firing tap, or
+    // the complete sum), replaced by the PE's -1 where speculated.
+    const __m256 vneg1 = _mm256_set1_ps(-1.0f);
+    for (int g = 0; g < G; ++g) {
+        const __m256 fin = _mm256_blendv_ps(acc[g], val[g], fired[g]);
+        _mm256_storeu_ps(res.out + g * kLanes,
+                         _mm256_blendv_ps(fin, vneg1, spec[g]));
+        if constexpr (Rec) {
+            // full: the complete sum of an unterminated window; for a
+            // speculated one its settled sum when asked for; else 0.
+            const __m256 full = _mm256_blendv_ps(
+                _mm256_andnot_ps(fired[g], fin),
+                need_full ? fin : vzero, spec[g]);
+            _mm256_storeu_ps(res.full + g * kLanes, full);
+            const __m256i opsv = _mm256_blendv_epi8(
+                ops[g], _mm256_set1_epi32(pk.prefix_len),
+                _mm256_castps_si256(spec[g]));
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(res.ops + g * kLanes), opsv);
+            const int spec_m = _mm256_movemask_ps(spec[g]);
+            const int sign_m = fired_m[g] & ~spec_m;
+            const uint8_t spec_flags = static_cast<uint8_t>(
+                kWalkSpecFired | (need_full ? kWalkFullKnown : 0));
+            uint8_t *fl = res.flags + g * kLanes;
+            for (int l = 0; l < kLanes; ++l) {
+                if (spec_m >> l & 1)
+                    fl[l] = spec_flags;
+                else if (sign_m >> l & 1)
+                    fl[l] = kWalkSignFired;
+                else
+                    fl[l] = kWalkFullKnown;
             }
         }
-        spec_full = full;
-    }
-
-    // Phases 2+3 for the remaining lanes: positive run unchecked,
-    // then the negative run with per-tap sign checks.  A fired
-    // lane's sum freezes (the blend keeps the old value); lanes that
-    // already speculated accumulate garbage here and are masked out
-    // of every decision and result below.
-    __m256 acc2 = acc;
-    __m256 sign = vzero;
-    __m256i opsv = _mm256_set1_epi32(ks);
-    const int live_m = ~spec_m & 0xff;
-    if (live_m) {
-        for (int t = pk.prefix_len; t < pk.neg_start; ++t) {
-            const __m256 vw = _mm256_set1_ps(w[t]);
-            const __m256 vx = load8<S1>(base + off[t], vlx);
-            acc2 = mad<R>(acc2, vw, vx);
-        }
-        for (int t = pk.neg_start; t < ks; ++t) {
-            const __m256 vw = _mm256_set1_ps(w[t]);
-            const __m256 vx = load8<S1>(base + off[t], vlx);
-            const __m256 anew = mad<R>(acc2, vw, vx);
-            acc2 = _mm256_blendv_ps(anew, acc2, sign);
-            const __m256 isneg =
-                _mm256_cmp_ps(acc2, vzero, _CMP_LT_OQ);
-            const __m256 newly = _mm256_andnot_ps(
-                sign, _mm256_andnot_ps(spec, isneg));
-            opsv = _mm256_blendv_epi8(opsv,
-                                      _mm256_set1_epi32(t + 1),
-                                      _mm256_castps_si256(newly));
-            sign = _mm256_or_ps(sign, newly);
-            if ((_mm256_movemask_ps(sign) & live_m) == live_m)
-                break;
-        }
-    }
-
-    // Assemble the SoA row: value the PE writes, the true sum where
-    // known (0.0f otherwise, matching WindowWalk's default), Eq. (1)
-    // op counts, and the termination flags.
-    const __m256 vneg1 = _mm256_set1_ps(-1.0f);
-    _mm256_storeu_ps(res.out, _mm256_blendv_ps(acc2, vneg1, spec));
-    __m256 fullv = _mm256_blendv_ps(acc2, vzero, sign);
-    fullv = _mm256_blendv_ps(fullv, need_full ? spec_full : vzero,
-                             spec);
-    _mm256_storeu_ps(res.full, fullv);
-    opsv = _mm256_blendv_epi8(opsv,
-                              _mm256_set1_epi32(pk.prefix_len),
-                              _mm256_castps_si256(spec));
-    _mm256_storeu_si256(reinterpret_cast<__m256i *>(res.ops), opsv);
-
-    const int sign_m = _mm256_movemask_ps(sign);
-    const uint8_t spec_flags = static_cast<uint8_t>(
-        kWalkSpecFired | (need_full ? kWalkFullKnown : 0));
-    for (int l = 0; l < kLanes; ++l) {
-        if (spec_m >> l & 1)
-            res.flags[l] = spec_flags;
-        else if (sign_m >> l & 1)
-            res.flags[l] = kWalkSignFired;
-        else
-            res.flags[l] = kWalkFullKnown;
     }
 }
 
-template <bool S1, bool R>
+template <bool Rec, bool S1, bool R>
 void
 walkRow(const PackedKernel &pk, const float *win0, int stride, int n,
-        bool need_full, const WalkSoa &res)
+        bool nonneg, bool need_full, const WalkSoa &res)
 {
     const __m256i vlx = strideIndex(stride);
+    const size_t tstep = static_cast<size_t>(kLanes) * stride;
+    const int block = nonneg && pk.neg_finite ? 8 : 1;
+    const auto at = [&](int x) {
+        return win0 + static_cast<size_t>(x) * stride;
+    };
     int x = 0;
-    for (; x + kLanes <= n; x += kLanes) {
-        const WalkSoa tile = {res.out + x, res.full + x, res.ops + x,
-                              res.flags + x};
-        walkTile<S1, R>(pk, win0 + static_cast<size_t>(x) * stride,
-                        vlx, need_full, tile);
-    }
-    if (x < n) {
-        const WalkSoa tail = {res.out + x, res.full + x, res.ops + x,
-                              res.flags + x};
-        scalarWalkRow(pk, win0 + static_cast<size_t>(x) * stride,
-                      stride, n - x, need_full, tail);
-    }
+    for (; x + 4 * kLanes <= n; x += 4 * kLanes)
+        walkGroup<4, Rec, S1, R>(pk, at(x), tstep, vlx, block,
+                                 need_full, res.from(x));
+    for (; x + 2 * kLanes <= n; x += 2 * kLanes)
+        walkGroup<2, Rec, S1, R>(pk, at(x), tstep, vlx, block,
+                                 need_full, res.from(x));
+    for (; x + kLanes <= n; x += kLanes)
+        walkGroup<1, Rec, S1, R>(pk, at(x), tstep, vlx, block,
+                                 need_full, res.from(x));
+    if (x < n)
+        scalarWalkRow(pk, at(x), stride, n - x, nonneg, need_full,
+                      res.from(x));
 }
 
 template <bool R>
@@ -409,12 +474,16 @@ prefixRowDispatch(const PackedKernel &pk, const float *win0,
 template <bool R>
 void
 walkRowDispatch(const PackedKernel &pk, const float *win0, int stride,
-                int n, bool need_full, const WalkSoa &res)
+                int n, bool nonneg, bool need_full, const WalkSoa &res)
 {
-    if (stride == 1)
-        walkRow<true, R>(pk, win0, stride, n, need_full, res);
-    else
-        walkRow<false, R>(pk, win0, stride, n, need_full, res);
+    const bool rec = res.instrumented();
+    if (stride == 1) {
+        (rec ? walkRow<true, true, R> : walkRow<false, true, R>)(
+            pk, win0, stride, n, nonneg, need_full, res);
+    } else {
+        (rec ? walkRow<true, false, R> : walkRow<false, false, R>)(
+            pk, win0, stride, n, nonneg, need_full, res);
+    }
 }
 
 } // namespace

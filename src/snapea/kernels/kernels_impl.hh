@@ -59,13 +59,30 @@ scalarPrefixRow(const PackedKernel &pk, const float *win0, int stride,
     }
 }
 
+/**
+ * The per-tap walk: every negative-run tap is checked, so this needs
+ * no precondition on the input; @p nonneg only arms the checked
+ * build's assertion that the vector walks' block check is sound.
+ */
 inline void
 scalarWalkRow(const PackedKernel &pk, const float *win0, int stride,
-              int n, bool need_full, const WalkSoa &res)
+              int n, bool nonneg, bool need_full, const WalkSoa &res)
 {
     const float *w = pk.w.data();
     const int32_t *off = pk.off.data();
     const int ks = static_cast<int>(pk.w.size());
+    const bool rec = res.instrumented();
+    const bool monotone = nonneg && pk.neg_finite;
+    SNAPEA_DCHECK(rec || !need_full);
+    const auto record = [&](int x, float out, int ops, float full,
+                            uint8_t flags) {
+        res.out[x] = out;
+        if (rec) {
+            res.ops[x] = ops;
+            res.full[x] = full;
+            res.flags[x] = flags;
+        }
+    };
     for (int x = 0; x < n; ++x) {
         const float *win = win0 + static_cast<size_t>(x) * stride;
         float psum = pk.bias;
@@ -75,22 +92,20 @@ scalarWalkRow(const PackedKernel &pk, const float *win0, int stride,
         for (; t < pk.prefix_len; ++t)
             psum += w[t] * win[off[t]];
         if (pk.prefix_len > 0 && psum <= pk.th) {
-            res.out[x] = -1.0f;
-            res.ops[x] = pk.prefix_len;
-            res.full[x] = 0.0f;
-            res.flags[x] = kWalkSpecFired;
-            if (need_full) {
-                float full = psum;
-                for (int j = t; j < ks; ++j) {
-                    SNAPEA_DCHECK(j < pk.neg_start
-                                  || w[j] * win[off[j]] <= 0.0f);
-                    full += w[j] * win[off[j]];
-                    if (j >= pk.neg_start && full < 0.0f)
-                        break;
-                }
-                res.full[x] = full;
-                res.flags[x] = kWalkSpecFired | kWalkFullKnown;
+            if (!need_full) {
+                record(x, -1.0f, pk.prefix_len, 0.0f, kWalkSpecFired);
+                continue;
             }
+            float full = psum;
+            for (int j = t; j < ks; ++j) {
+                SNAPEA_DCHECK(j < pk.neg_start || !monotone
+                              || w[j] * win[off[j]] <= 0.0f);
+                full += w[j] * win[off[j]];
+                if (j >= pk.neg_start && full < 0.0f)
+                    break;
+            }
+            record(x, -1.0f, pk.prefix_len, full,
+                   kWalkSpecFired | kWalkFullKnown);
             continue;
         }
 
@@ -103,23 +118,16 @@ scalarWalkRow(const PackedKernel &pk, const float *win0, int stride,
         bool sign_fired = false;
         for (; t < ks; ++t) {
             SNAPEA_DCHECK(w[t] < 0.0f);
-            SNAPEA_DCHECK(w[t] * win[off[t]] <= 0.0f);
+            SNAPEA_DCHECK(!monotone || w[t] * win[off[t]] <= 0.0f);
             psum += w[t] * win[off[t]];
             if (psum < 0.0f) {
-                res.out[x] = psum;
-                res.ops[x] = t + 1;
-                res.full[x] = 0.0f;
-                res.flags[x] = kWalkSignFired;
+                record(x, psum, t + 1, 0.0f, kWalkSignFired);
                 sign_fired = true;
                 break;
             }
         }
-        if (!sign_fired) {
-            res.out[x] = psum;
-            res.ops[x] = ks;
-            res.full[x] = psum;
-            res.flags[x] = kWalkFullKnown;
-        }
+        if (!sign_fired)
+            record(x, psum, ks, psum, kWalkFullKnown);
     }
 }
 

@@ -10,6 +10,7 @@
 #include "snapea/kernels/kernels.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
@@ -22,9 +23,6 @@ namespace snapea::kernels {
 // Variant tables, one per compiled TU (see src/snapea/CMakeLists.txt
 // for which are built; SNAPEA_KERNELS_* mirror the CMake options).
 const KernelOps &scalarKernelOps();
-#if SNAPEA_KERNELS_SSE2
-const KernelOps &sse2KernelOps();
-#endif
 #if SNAPEA_KERNELS_AVX2
 const KernelOps &avx2KernelOps(bool relaxed);
 #endif
@@ -35,21 +33,15 @@ namespace {
 bool
 isaUsable(Isa isa)
 {
-    const CpuInfo &cpu = cpuInfo();
     switch (isa) {
     case Isa::Scalar:
         return true;
-    case Isa::Sse2:
-#if SNAPEA_KERNELS_SSE2
-        return cpu.has_sse2;
-#else
-        return false;
-#endif
     case Isa::Avx2:
 #if SNAPEA_KERNELS_AVX2
         // The relaxed variants use FMA; AVX2 CPUs without FMA are
         // essentially nonexistent, but gate on it anyway.
-        return cpu.has_avx2 && (!relaxedAccum() || cpu.has_fma);
+        return cpuInfo().has_avx2
+            && (!relaxedAccum() || cpuInfo().has_fma);
 #else
         return false;
 #endif
@@ -61,10 +53,6 @@ const KernelOps &
 opsTable(Isa isa)
 {
     switch (isa) {
-#if SNAPEA_KERNELS_SSE2
-    case Isa::Sse2:
-        return sse2KernelOps();
-#endif
 #if SNAPEA_KERNELS_AVX2
     case Isa::Avx2:
         return avx2KernelOps(relaxedAccum());
@@ -77,10 +65,7 @@ opsTable(Isa isa)
 Isa
 bestUsable()
 {
-    for (Isa isa : {Isa::Avx2, Isa::Sse2})
-        if (isaUsable(isa))
-            return isa;
-    return Isa::Scalar;
+    return isaUsable(Isa::Avx2) ? Isa::Avx2 : Isa::Scalar;
 }
 
 /** Resolve the SNAPEA_SIMD override against what is usable. */
@@ -93,12 +78,10 @@ initialIsa()
     Isa want;
     if (!std::strcmp(env, "scalar"))
         want = Isa::Scalar;
-    else if (!std::strcmp(env, "sse2"))
-        want = Isa::Sse2;
     else if (!std::strcmp(env, "avx2"))
         want = Isa::Avx2;
     else {
-        warn("SNAPEA_SIMD=%s is not auto|scalar|sse2|avx2; "
+        warn("SNAPEA_SIMD=%s is not auto|scalar|avx2; "
              "using auto dispatch", env);
         return bestUsable();
     }
@@ -127,8 +110,6 @@ isaName(Isa isa)
     switch (isa) {
     case Isa::Scalar:
         return "scalar";
-    case Isa::Sse2:
-        return "sse2";
     case Isa::Avx2:
         return "avx2";
     }
@@ -161,7 +142,7 @@ std::vector<Isa>
 availableIsas()
 {
     std::vector<Isa> out;
-    for (Isa isa : {Isa::Scalar, Isa::Sse2, Isa::Avx2})
+    for (Isa isa : {Isa::Scalar, Isa::Avx2})
         if (isaUsable(isa))
             out.push_back(isa);
     return out;
@@ -203,6 +184,8 @@ packKernel(const std::vector<float> &w,
     pk.th = th;
     pk.bias = bias;
     pk.panel = panelTaps(static_cast<int>(w.size()));
+    for (size_t i = static_cast<size_t>(neg_start); i < w.size(); ++i)
+        pk.neg_finite &= std::isfinite(w[i]);
     return pk;
 }
 

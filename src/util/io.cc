@@ -18,17 +18,37 @@ namespace snapea {
 
 namespace {
 
-std::array<uint32_t, 256>
-makeCrcTable()
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+/**
+ * Slicing-by-8 tables: t[0] is the bytewise table of the reflected
+ * polynomial, and t[k][b] is t[k-1][b] advanced by one more zero
+ * byte, so eight input bytes fold into the CRC with eight lookups.
+ */
+CrcTables
+makeCrcTables()
 {
-    std::array<uint32_t, 256> table{};
+    CrcTables t{};
     for (uint32_t i = 0; i < 256; ++i) {
         uint32_t c = i;
         for (int k = 0; k < 8; ++k)
             c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        table[i] = c;
+        t[0][i] = c;
     }
-    return table;
+    for (size_t k = 1; k < t.size(); ++k)
+        for (uint32_t i = 0; i < 256; ++i)
+            t[k][i] = t[0][t[k - 1][i] & 0xffu] ^ (t[k - 1][i] >> 8);
+    return t;
+}
+
+/** Four bytes as a little-endian word, on any host. */
+inline uint32_t
+loadLe32(const unsigned char *p)
+{
+    return static_cast<uint32_t>(p[0])
+        | static_cast<uint32_t>(p[1]) << 8
+        | static_cast<uint32_t>(p[2]) << 16
+        | static_cast<uint32_t>(p[3]) << 24;
 }
 
 } // namespace
@@ -36,11 +56,19 @@ makeCrcTable()
 uint32_t
 crc32(const void *data, size_t n, uint32_t seed)
 {
-    static const std::array<uint32_t, 256> table = makeCrcTable();
+    static const CrcTables t = makeCrcTables();
     const auto *p = static_cast<const unsigned char *>(data);
     uint32_t c = seed ^ 0xffffffffu;
-    for (size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+    for (; n >= 8; p += 8, n -= 8) {
+        const uint32_t lo = c ^ loadLe32(p);
+        const uint32_t hi = loadLe32(p + 4);
+        c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu]
+            ^ t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24]
+            ^ t[3][hi & 0xffu] ^ t[2][(hi >> 8) & 0xffu]
+            ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
+    for (; n > 0; ++p, --n)
+        c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 
@@ -122,7 +150,12 @@ readFileToString(const std::string &path)
         return statusf(code, "cannot open %s: %s", path.c_str(),
                        std::strerror(errno));
     }
+    // One allocation for the whole file: growing the string read by
+    // read would map and fault in fresh pages at every doubling.
     std::string out;
+    struct stat st {};
+    if (::fstat(fd.fd, &st) == 0 && st.st_size > 0)
+        out.reserve(static_cast<size_t>(st.st_size));
     char buf[1 << 16];
     for (;;) {
         ssize_t n = ::read(fd.fd, buf, sizeof(buf));

@@ -79,10 +79,17 @@ TEST(DebugMutex, WorksWithDebugCondVar)
 
 #if SNAPEA_CHECKS_ENABLED
 
+// The detector tests that lock in a clean order keep their mutexes
+// in static storage, so each test's mutexes have addresses of their
+// own.  ThreadSanitizer keys its lock-order graph by address and does
+// not see a std::mutex on the stack die, so two tests' stack mutexes
+// at one address would merge into one node, and two clean orders
+// would read as an inversion.
+
 TEST(DebugMutexDetector, ConsistentOrderIsClean)
 {
     // A -> B on two threads: one global order, nothing to report.
-    DebugMutex a{"order_a"}, b{"order_b"};
+    static DebugMutex a{"order_a"}, b{"order_b"};
     auto nested = [&] {
         std::lock_guard la(a);
         std::lock_guard lb(b);
@@ -135,7 +142,7 @@ TEST(DebugMutexDetector, TryLockRecordsNoOrderingEdges)
 {
     // try_lock(B) while holding A is an ordering-free idiom: it must
     // not record A -> B, so the later B -> A order stays legal.
-    DebugMutex a{"tl_a"}, b{"tl_b"};
+    static DebugMutex a{"tl_a"}, b{"tl_b"};
     {
         std::lock_guard la(a);
         ASSERT_TRUE(b.try_lock());
@@ -152,8 +159,9 @@ TEST(DebugMutexDetector, DestroyedMutexLeavesNoStaleEdges)
     // Record A -> B, destroy B, then lock (new B) -> A.  If B's node
     // survived destruction, a heap-recycled address would inherit
     // the old edge and this clean order would be reported as a
-    // cycle.
-    DebugMutex a{"dtor_a"};
+    // cycle.  (The heap mutexes are fine under ThreadSanitizer: it
+    // forgets a mutex when its memory is freed.)
+    static DebugMutex a{"dtor_a"};
     auto *b = new DebugMutex("dtor_b");
     {
         std::lock_guard la(a);

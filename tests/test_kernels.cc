@@ -6,9 +6,10 @@
  * output bits, same early-termination decisions, same op counts —
  * including the ragged row tails the vector registers cannot cover.
  * These tests check that contract at three levels: raw row kernels
- * over the padding-paths geometries, the dense-convolution fallback
- * (row path and channel-major path), and a full engine run in both
- * Fast and Instrumented modes.
+ * over the padding-paths geometries and over hand-built kernels aimed
+ * at the walk's block sign checks, the dense-convolution fallback
+ * (row path and channel-major path), and full engine runs in the
+ * Fast, Instrumented and Serving modes.
  */
 
 #include <cstring>
@@ -16,6 +17,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -106,7 +108,60 @@ struct WalkBufs
     {
         return {out.data(), full.data(), ops.data(), flags.data()};
     }
+
+    /** The Serving policy's row: out only. */
+    kernels::WalkSoa servingSoa() { return {out.data()}; }
 };
+
+/** The walk's recording policies, as the engine calls them. */
+struct WalkPolicy
+{
+    const char *name;
+    bool instrumented, need_full;
+};
+
+constexpr WalkPolicy kWalkPolicies[] = {
+    {"serving", false, false},
+    {"instrumented", true, false},
+    {"instrumented+full", true, true},
+};
+
+/** Run one walk row under @p pol into @p b. */
+void
+walkInto(const kernels::KernelOps &ko, const kernels::PackedKernel &pk,
+         const float *win0, int stride, int n, bool nonneg,
+         const WalkPolicy &pol, WalkBufs &b)
+{
+    ko.walk_row(pk, win0, stride, n, nonneg, pol.need_full,
+                pol.instrumented ? b.soa() : b.servingSoa());
+}
+
+/**
+ * The first @p n windows of two walk rows are bitwise equal in every
+ * field @p pol records (out only for the Serving policy).
+ */
+void
+expectWalkRowsEqual(const WalkBufs &ref, const WalkBufs &got, int n,
+                    const WalkPolicy &pol, const std::string &where)
+{
+    const size_t nn = static_cast<size_t>(n);
+    EXPECT_EQ(std::memcmp(ref.out.data(), got.out.data(),
+                          nn * sizeof(float)),
+              0)
+        << where << " out";
+    if (!pol.instrumented)
+        return;
+    EXPECT_EQ(std::memcmp(ref.full.data(), got.full.data(),
+                          nn * sizeof(float)),
+              0)
+        << where << " full";
+    EXPECT_EQ(std::memcmp(ref.ops.data(), got.ops.data(),
+                          nn * sizeof(int32_t)),
+              0)
+        << where << " ops";
+    EXPECT_EQ(std::memcmp(ref.flags.data(), got.flags.data(), nn), 0)
+        << where << " flags";
+}
 
 } // namespace
 
@@ -119,7 +174,7 @@ class KernelRows : public testing::TestWithParam<KernelCase>
  * produce the scalar reference's bits for every interior row span —
  * all span lengths from 1 to the full row, so every ragged-tail
  * shape each register width can see is covered — for exact and
- * predictive plans and both walk modes.
+ * predictive plans and every walk recording policy.
  */
 TEST_P(KernelRows, SimdVariantsMatchScalarBitwise)
 {
@@ -206,44 +261,22 @@ TEST_P(KernelRows, SimdVariantsMatchScalarBitwise)
                         }
                     }
 
-                    for (const bool need_full : {false, true}) {
+                    for (const WalkPolicy &pol : kWalkPolicies) {
                         WalkBufs wref(n);
-                        sc.walk_row(packed, win0, c.stride, n,
-                                    need_full, wref.soa());
+                        walkInto(sc, packed, win0, c.stride, n,
+                                 /*nonneg=*/true, pol, wref);
                         for (const kernels::Isa isa : simdIsas()) {
-                            const kernels::KernelOps &ko =
-                                *kernels::kernelOpsFor(isa);
                             WalkBufs wgot(n);
-                            ko.walk_row(packed, win0, c.stride, n,
-                                        need_full, wgot.soa());
-                            const std::string where =
+                            walkInto(*kernels::kernelOpsFor(isa), packed,
+                                     win0, c.stride, n, /*nonneg=*/true,
+                                     pol, wgot);
+                            expectWalkRowsEqual(
+                                wref, wgot, n, pol,
                                 std::string("walk_row ")
-                                + kernels::isaName(isa)
-                                + " o=" + std::to_string(o)
-                                + " y=" + std::to_string(y)
-                                + " n=" + std::to_string(n)
-                                + " full=" + std::to_string(need_full);
-                            EXPECT_EQ(std::memcmp(wref.out.data(),
-                                                  wgot.out.data(),
-                                                  n * sizeof(float)),
-                                      0)
-                                << where;
-                            EXPECT_EQ(std::memcmp(wref.full.data(),
-                                                  wgot.full.data(),
-                                                  n * sizeof(float)),
-                                      0)
-                                << where;
-                            EXPECT_EQ(
-                                std::memcmp(wref.ops.data(),
-                                            wgot.ops.data(),
-                                            n * sizeof(int32_t)),
-                                0)
-                                << where;
-                            EXPECT_EQ(std::memcmp(wref.flags.data(),
-                                                  wgot.flags.data(),
-                                                  n),
-                                      0)
-                                << where;
+                                    + kernels::isaName(isa) + " "
+                                    + pol.name + " o=" + std::to_string(o)
+                                    + " y=" + std::to_string(y)
+                                    + " n=" + std::to_string(n));
                         }
                     }
                 }
@@ -295,8 +328,8 @@ TEST_P(KernelRows, TerminationDecisionsMatchWalkWindow)
                 const kernels::KernelOps &ko =
                     *kernels::kernelOpsFor(isa);
                 WalkBufs got(n);
-                ko.walk_row(packed, win0, c.stride, n, false,
-                            got.soa());
+                ko.walk_row(packed, win0, c.stride, n, /*nonneg=*/true,
+                            /*need_full=*/false, got.soa());
                 for (int x = 0; x < n; ++x) {
                     const WindowWalk ww = walkWindow(
                         pk, input, iy0,
@@ -330,8 +363,193 @@ INSTANTIATE_TEST_SUITE_P(
                     KernelCase{1, 2, 7, 2, 3, 12, 44},
                     // Wide row: spans longer than any register so
                     // every variant sees full blocks plus a tail.
-                    KernelCase{3, 2, 3, 1, 1, 32, 55}),
+                    KernelCase{3, 2, 3, 1, 1, 32, 55},
+                    // Spans past 32 windows: the walk's and conv_row's
+                    // 4-tile groups, at stride 1 and at stride 2.
+                    KernelCase{2, 2, 3, 1, 1, 48, 66},
+                    KernelCase{2, 2, 3, 2, 1, 80, 77}),
     caseName);
+
+namespace {
+
+/**
+ * A hand-built kernel for the walk's block checks.  Window x reads
+ * tap t at in[x + t * kHandPitch], so every window's taps are set
+ * independently.  Weights are +1 before @c neg_start and -1 from it
+ * on; the data (handInput) puts each window's prefix on either side
+ * of the threshold and makes its negative run fire on a chosen tap.
+ */
+struct HandCase
+{
+    const char *name;
+    int ks, prefix_len, neg_start;
+    float th, bias;
+};
+
+constexpr int kHandPitch = 80;   ///< Floats between taps of a window.
+constexpr int kHandMaxN = 72;    ///< Windows per row, up to.
+
+/** How a hand case breaks the block check's precondition. */
+enum class Taint { None, Negative, NaN, InfWeight };
+
+/** Negative-run tap that Taint::InfWeight weighs -inf. */
+int
+handInfTap(const HandCase &hc)
+{
+    return hc.neg_start + 2;
+}
+
+kernels::PackedKernel
+handKernel(const HandCase &hc, Taint taint)
+{
+    std::vector<float> w(static_cast<size_t>(hc.ks));
+    std::vector<int> off(static_cast<size_t>(hc.ks));
+    for (int t = 0; t < hc.ks; ++t) {
+        w[t] = t < hc.neg_start ? 1.0f : -1.0f;
+        off[t] = t * kHandPitch;
+    }
+    if (taint == Taint::InfWeight && handInfTap(hc) < hc.ks)
+        w[handInfTap(hc)] = -std::numeric_limits<float>::infinity();
+    return kernels::packKernel(w, off, hc.prefix_len, hc.neg_start,
+                               hc.th, hc.bias);
+}
+
+/**
+ * Tap at which window @p x's negative run is built to fire, or
+ * hc.ks for a window that completes; cycles through every position
+ * of the run, so every block's first and last taps fire somewhere.
+ */
+int
+handFireTap(const HandCase &hc, int x)
+{
+    const int run = hc.ks - hc.neg_start;
+    return hc.neg_start + (x * 5) % (run + 1);
+}
+
+/**
+ * Inputs for handKernel: every third window speculates (prefix sum
+ * bias <= th; the others reach bias + 1), every fourth enters the
+ * negative run without the positive bump of 6 (so with a negative
+ * bias it enters negative), and the negative run drifts down by
+ * 1/1024 per tap until the big value at handFireTap.  With @p taint,
+ * some windows then read a negative value or a NaN on the tap after
+ * the firing one, or every window reads 0 at the -inf weight, any of
+ * which would raise (or poison) the sum before a block ends.
+ */
+std::vector<float>
+handInput(const HandCase &hc, Taint taint)
+{
+    std::vector<float> in(static_cast<size_t>(hc.ks) * kHandPitch,
+                          0.0f);
+    for (int x = 0; x < kHandMaxN; ++x) {
+        const auto at = [&](int t) -> float & {
+            return in[static_cast<size_t>(t) * kHandPitch + x];
+        };
+        if (hc.prefix_len > 0 && x % 3 != 0)
+            at(0) = 1.0f;
+        if (hc.prefix_len < hc.neg_start && x % 4 != 1)
+            at(hc.prefix_len) = 6.0f;
+        const int f = handFireTap(hc, x);
+        for (int t = hc.neg_start; t < hc.ks; ++t)
+            at(t) = t == f ? 64.0f : 1.0f / 1024.0f;
+        if (taint == Taint::InfWeight) {
+            if (handInfTap(hc) < hc.ks && handInfTap(hc) != f)
+                at(handInfTap(hc)) = 0.0f;
+        } else if (f + 1 < hc.ks && taint != Taint::None && x % 2 == 0) {
+            at(f + 1) = taint == Taint::Negative
+                ? -256.0f : std::numeric_limits<float>::quiet_NaN();
+        }
+    }
+    return in;
+}
+
+constexpr HandCase kHandCases[] = {
+    // ks not a multiple of 8; neg_start on, before and after a
+    // multiple of 8, and a run whose length leaves every remainder
+    // mod 8 across the cases.
+    {"ks29_ns8", 29, 3, 8, 0.5f, 0.25f},
+    {"ks29_ns7", 29, 3, 7, 0.5f, 0.25f},
+    {"ks29_ns9", 29, 3, 9, 0.5f, 0.25f},
+    {"ks32_ns16", 32, 2, 16, 0.5f, 0.25f},
+    {"ks40_ns15", 40, 4, 15, 0.5f, 0.25f},
+    {"ks40_ns17", 40, 4, 17, 0.5f, 0.25f},
+    // A negative bias: windows without the bump enter the negative
+    // run below zero and fire on its first tap.
+    {"negative_bias", 29, 3, 8, -3.5f, -4.0f},
+    // No speculation prefix; no positive run; no negative run.
+    {"no_prefix", 27, 0, 5, 0.0f, 0.25f},
+    {"no_positive_run", 21, 2, 2, 0.5f, 0.25f},
+    {"no_negative_run", 12, 2, 12, 0.5f, 0.25f},
+    // Every lane speculates: Serving settles nothing, need_full
+    // settles every lane, in different blocks.
+    {"all_speculated", 33, 3, 6, 1.0e30f, 0.25f},
+};
+
+} // namespace
+
+/**
+ * The vector walks' block sign checks reproduce the scalar per-tap
+ * walk bitwise on hand-built kernels: lanes firing on the first and
+ * last tap of a block, ragged last blocks, sums already negative on
+ * entering the negative run, no prefix, every lane speculated, and
+ * need_full lanes settling in different blocks — for every row length
+ * up to 72 windows (4-, 2- and 1-tile groups plus tails) and every
+ * recording policy.  Inputs with a negative value or a NaN after a
+ * firing tap, where a block check would miss the fire, match too when
+ * the walk is told its input is not non-negative, and so does a -inf
+ * weight meeting a zero input, which the packed kernel flags itself.
+ */
+TEST(KernelWalk, BlockChecksMatchPerTapWalk)
+{
+    const kernels::KernelOps &sc =
+        *kernels::kernelOpsFor(kernels::Isa::Scalar);
+    for (const HandCase &hc : kHandCases) {
+        for (const Taint taint : {Taint::None, Taint::Negative,
+                                  Taint::NaN, Taint::InfWeight}) {
+            const kernels::PackedKernel pk = handKernel(hc, taint);
+            const std::vector<float> in = handInput(hc, taint);
+            const bool nonneg =
+                taint == Taint::None || taint == Taint::InfWeight;
+
+            // The data does what it was built to: each unspeculated
+            // window fires on its tap (or on the run's first tap when
+            // it enters negative), or completes.
+            WalkBufs ref(kHandMaxN);
+            sc.walk_row(pk, in.data(), 1, kHandMaxN, nonneg, false,
+                        ref.soa());
+            for (int x = 0; x < kHandMaxN && taint == Taint::None; ++x) {
+                if (ref.flags[x] & kernels::kWalkSpecFired)
+                    continue;
+                const int f = handFireTap(hc, x);
+                const bool enters_negative = hc.bias < 0.0f
+                    && x % 4 == 1;
+                const int want = enters_negative && hc.neg_start < hc.ks
+                    ? hc.neg_start + 1
+                    : std::min(f + 1, hc.ks);
+                ASSERT_EQ(ref.ops[x], want) << hc.name << " x=" << x;
+            }
+
+            for (const WalkPolicy &pol : kWalkPolicies) {
+                for (int n = 1; n <= kHandMaxN; ++n) {
+                    WalkBufs wref(n);
+                    walkInto(sc, pk, in.data(), 1, n, nonneg, pol, wref);
+                    for (const kernels::Isa isa : simdIsas()) {
+                        WalkBufs wgot(n);
+                        walkInto(*kernels::kernelOpsFor(isa), pk,
+                                 in.data(), 1, n, nonneg, pol, wgot);
+                        expectWalkRowsEqual(
+                            wref, wgot, n, pol,
+                            std::string(hc.name) + " "
+                                + kernels::isaName(isa) + " " + pol.name
+                                + " taint="
+                                + std::to_string(static_cast<int>(taint))
+                                + " n=" + std::to_string(n));
+                    }
+                }
+            }
+        }
+    }
+}
 
 /**
  * The dense matvec kernel is bitwise identical across variants for
@@ -614,6 +832,68 @@ TEST(KernelEngine, EveryIsaRunsBitwiseIdentical)
                     << where;
                 EXPECT_EQ(st.fn_values, gs.fn_values) << where;
                 EXPECT_EQ(st.pos_sample, gs.pos_sample) << where;
+            }
+        }
+    }
+}
+
+/**
+ * A client's negative pixels, or a NaN, reach the first conv layer
+ * unclamped.  The engine notices while it pads the input and has the
+ * walk check every tap, so Serving on every ISA gives the scalar
+ * per-tap walk's bits, for exact and predictive plans alike.
+ */
+TEST(KernelEngine, ServingMatchesPerTapWalkOnNegativeAndNaNInputs)
+{
+    const std::vector<kernels::Isa> simd = simdIsas();
+    if (simd.empty())
+        GTEST_SKIP() << "only the scalar variant is available";
+    IsaGuard guard;
+    Rng rng(23);
+    const int hw = 24;
+    Network net("signed", {3, hw, hw});
+    auto conv = std::make_unique<Conv2D>("c", ConvSpec{3, 6, 3, 1, 1, 1});
+    fillConv(*conv, rng);
+    net.add(std::move(conv));
+    const int layer = net.convLayers().at(0);
+
+    Tensor negative({3, hw, hw});
+    for (size_t i = 0; i < negative.size(); ++i)
+        negative[i] = static_cast<float>(rng.gaussian(0.1, 1.0));
+    Tensor nan = reluInput(rng, 3, hw);
+    for (size_t i = 5; i < nan.size(); i += 37)
+        nan[i] = std::numeric_limits<float>::quiet_NaN();
+
+    SpeculationParams sp;
+    sp.n_groups = 4;
+    sp.th = 0.1f;
+    std::map<int, std::vector<SpeculationParams>> params;
+    params[layer].assign(6, sp);
+    const NetworkPlan plans[] = {makeExactNetworkPlan(net),
+                                 makeNetworkPlan(net, params)};
+
+    const auto serve = [&](const NetworkPlan &plan, const Tensor &in) {
+        SnapeaEngine engine(net, plan);
+        engine.setMode(ExecMode::Serving);
+        return net.forward(in, &engine);
+    };
+    for (const NetworkPlan &plan : plans) {
+        for (const Tensor *in : {&negative, &nan}) {
+            kernels::setActiveIsa(kernels::Isa::Scalar);
+            const Tensor ref = serve(plan, *in);
+            for (const kernels::Isa isa : simd) {
+                kernels::setActiveIsa(isa);
+                const Tensor got = serve(plan, *in);
+                ASSERT_EQ(ref.shape(), got.shape());
+                EXPECT_EQ(std::memcmp(ref.data(), got.data(),
+                                      ref.size() * sizeof(float)),
+                          0)
+                    << kernels::isaName(isa) << " "
+                    << (in == &nan ? "nan" : "negative") << " input, "
+                    << (plan.at(layer).kernels[0].params.predictive()
+                            ? "predictive"
+                            : "exact")
+                    << " plan";
             }
         }
     }
