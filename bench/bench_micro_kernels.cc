@@ -8,8 +8,11 @@
  * On top of the model-level benchmarks, a registered sweep times
  * every compiled kernel variant (scalar and each SIMD tier the CPU
  * supports) against every row kernel over a grid of kernel shapes,
- * so scalar-vs-vector speedups per shape are directly visible.
- * Benchmark names encode the axes: <Kernel>/<shape>/<isa>.
+ * so scalar-vs-vector speedups per shape are directly visible, and
+ * times Conv2D::forwardInto on model layers that reach each of its
+ * paths (stride-1 plane spans, channel-major tiny maps, a strided
+ * layer's row spans) at one thread.  Benchmark names encode the
+ * axes: <Kernel>/<shape>/<isa>.
  *
  * Run from the repository root, the binary writes its results to
  * BENCH_micro_kernels.json (google-benchmark JSON, which carries the
@@ -23,10 +26,12 @@
 #include <vector>
 
 #include "nn/conv.hh"
+#include "nn/models/model_zoo.hh"
 #include "snapea/engine.hh"
 #include "snapea/kernels/kernels.hh"
 #include "snapea/reorder.hh"
 #include "util/random.hh"
+#include "util/thread_pool.hh"
 
 using namespace snapea;
 
@@ -67,19 +72,6 @@ fixture()
     static Fixture f;
     return f;
 }
-
-void
-BM_PlainConvForward(benchmark::State &state)
-{
-    Fixture &f = fixture();
-    for (auto _ : state) {
-        Tensor out = f.conv.forward({&f.input});
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations()
-                            * f.conv.macCount(f.input.shape()));
-}
-BENCHMARK(BM_PlainConvForward);
 
 void
 BM_ExactWalk(benchmark::State &state)
@@ -242,6 +234,67 @@ sweepFixture(size_t shape_idx)
     return *fixtures[shape_idx];
 }
 
+/** A model conv layer timed by the PlainConvForward rows. */
+struct DenseLayer
+{
+    const char *name;
+    ModelId model;
+    int input_px;
+    const char *layer;
+};
+
+constexpr DenseLayer kDenseLayers[] = {
+    // 10 px map, stride 1: one plane span per channel.
+    {"vgg80_conv4_2", ModelId::VGGNet, 80, "conv4_2"},
+    // 9 px map, stride 1.
+    {"squeezenet80_fire8_expand3x3", ModelId::SqueezeNet, 80,
+     "fire8/expand3x3"},
+    // 5 px map, 2 groups of 32 channels: channel-major.
+    {"alexnet48_conv2", ModelId::AlexNet, 48, "conv2"},
+    // Stride 4, 11x11 kernel: one row span per output row.
+    {"alexnet48_conv1", ModelId::AlexNet, 48, "conv1"},
+};
+
+/** One DenseLayer with seeded weights and a non-negative input. */
+struct DenseLayerFixture
+{
+    std::unique_ptr<Network> net;
+    const Conv2D *conv = nullptr;
+    Tensor input, out;
+
+    explicit DenseLayerFixture(const DenseLayer &d)
+    {
+        ModelScale scale = defaultScale(d.model);
+        scale.input_size = d.input_px;
+        net = buildModel(d.model, scale);
+        const int idx = net->layerIndex(d.layer);
+        auto &c = static_cast<Conv2D &>(net->layer(idx));
+        Rng rng(17);
+        for (size_t i = 0; i < c.weights().size(); ++i)
+            c.weights()[i] = static_cast<float>(rng.gaussian());
+        for (float &b : c.bias())
+            b = static_cast<float>(rng.gaussian());
+        const int prod = net->producers(idx)[0];
+        input = Tensor(prod == Network::kInput ? net->inputShape()
+                                               : net->outputShape(prod));
+        for (size_t i = 0; i < input.size(); ++i)
+            input[i] = static_cast<float>(rng.uniform());
+        out = Tensor(net->outputShape(idx));
+        conv = &c;
+    }
+};
+
+DenseLayerFixture &
+denseLayerFixture(size_t layer_idx)
+{
+    static std::unique_ptr<DenseLayerFixture>
+        fixtures[std::size(kDenseLayers)];
+    if (!fixtures[layer_idx])
+        fixtures[layer_idx] = std::make_unique<DenseLayerFixture>(
+            kDenseLayers[layer_idx]);
+    return *fixtures[layer_idx];
+}
+
 /** Dense-matvec operands of one input width, shared across ISAs. */
 struct DenseFixture
 {
@@ -350,12 +403,31 @@ registerSweepForIsa(kernels::Isa isa)
                 for (auto _ : state) {
                     ko->conv_chan(f.wt8.data(), f.bias8,
                                  f.bases.data(), nwin,
-                                 f.packed.off.data(), nullptr, ks,
+                                 f.packed.off.data(), ks,
                                  f.out8s.data());
                     benchmark::DoNotOptimize(f.out8s.data());
                 }
                 state.SetItemsProcessed(state.iterations() * nwin
                                         * 8 * ks);
+            });
+    }
+
+    for (size_t li = 0; li < std::size(kDenseLayers); ++li) {
+        benchmark::RegisterBenchmark(
+            ("PlainConvForward/" + std::string(kDenseLayers[li].name)
+             + suffix)
+                .c_str(),
+            [li, isa](benchmark::State &state) {
+                DenseLayerFixture &f = denseLayerFixture(li);
+                kernels::setActiveIsa(isa);
+                for (auto _ : state) {
+                    f.conv->forwardInto(f.input, f.out);
+                    benchmark::DoNotOptimize(f.out.data());
+                }
+                state.SetItemsProcessed(
+                    state.iterations()
+                    * static_cast<int64_t>(
+                        f.conv->macCount(f.input.shape())));
             });
     }
 
@@ -381,6 +453,9 @@ registerSweepForIsa(kernels::Isa isa)
 int
 main(int argc, char **argv)
 {
+    // One thread, so PlainConvForward times the kernels, not the
+    // thread pool; the other rows call kernels directly.
+    util::setThreadCount(1);
     for (const kernels::Isa isa : kernels::availableIsas())
         registerSweepForIsa(isa);
     benchmark::AddCustomContext(

@@ -21,17 +21,21 @@
  * the highest thread count must be bitwise identical to the
  * single-thread run.
  *
- * Each timing is the best of several repetitions (shared machines
- * jitter far more than the measured interval), and the JSON records
- * the CPU context the numbers were taken in: the dispatched SIMD
- * level and lane width, cache sizes, and the hardware thread count.
- * Rows that oversubscribe the hardware (more workers than hardware
- * threads) are flagged so their "speedups" are never read as real.
+ * One pass over the images takes milliseconds, far less than a
+ * shared host's scheduling noise, so each (threads, mode) cell repeats
+ * its pass for at least kCellSeconds of wall time (and at least
+ * --repeats passes) and reports the median pass, with the quartiles of
+ * the pass times as its spread.  The JSON records the CPU context the
+ * numbers were taken in: the dispatched SIMD level and lane width,
+ * cache sizes, and the hardware thread count.  Rows that oversubscribe
+ * the hardware (more workers than hardware threads) are flagged so
+ * their "speedups" are never read as real.
  *
  * Usage: bench_throughput [--model M] [--input px] [--images N]
  *                         [--repeats R] [--out path]
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -62,17 +66,59 @@ seconds(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
+/**
+ * Minimum wall time of one (threads, mode) cell.  At a few
+ * milliseconds per pass this gives each cell over a hundred passes.
+ */
+constexpr double kCellSeconds = 1.0;
+
+/** Pass times of one cell, in seconds. */
+struct Cell
+{
+    double median = 0.0;
+    double q1 = 0.0, q3 = 0.0;  ///< Quartiles.
+    int passes = 0;
+};
+
+/** Quantile @p q of sorted @p v, interpolating between ranks. */
+double
+quantile(const std::vector<double> &v, double q)
+{
+    const double pos = q * static_cast<double>(v.size() - 1);
+    const size_t lo = static_cast<size_t>(pos);
+    const size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+/**
+ * Run @p pass once to warm up, then repeatedly for at least
+ * kCellSeconds and @p min_passes passes.
+ */
+template <class Pass>
+Cell
+timeCell(Pass &&pass, int min_passes)
+{
+    pass();
+    std::vector<double> secs;
+    const auto start = std::chrono::steady_clock::now();
+    while (static_cast<int>(secs.size()) < min_passes
+           || seconds(start, std::chrono::steady_clock::now())
+               < kCellSeconds) {
+        const auto t0 = std::chrono::steady_clock::now();
+        pass();
+        secs.push_back(seconds(t0, std::chrono::steady_clock::now()));
+    }
+    std::sort(secs.begin(), secs.end());
+    return {quantile(secs, 0.5), quantile(secs, 0.25),
+            quantile(secs, 0.75), static_cast<int>(secs.size())};
+}
+
 struct Run
 {
     int threads = 1;
     bool oversubscribed = false;  ///< threads > hardware threads.
-    double instr_sec = 0.0;
-    double instr_imgs_per_sec = 0.0;
-    double instr_macs_per_sec = 0.0;
-    double fast_sec = 0.0;
-    double fast_imgs_per_sec = 0.0;
-    double serve_exact_sec = 0.0;
-    double serve_pred_sec = 0.0;
+    Cell instr, fast, serve_exact, serve_pred;
+    double instr_macs_per_sec = 0.0;  ///< At the median pass.
 };
 
 /** Instrumented stats + outputs of one pass, for the determinism check. */
@@ -103,25 +149,19 @@ runInstrumentedPass(const Network &net, const NetworkPlan &plan,
     return r;
 }
 
-/** Best-of-@p repeats seconds for one Serving-mode pass over @p images. */
-double
+/** One cell of Serving-mode passes over @p images. */
+Cell
 timeServingPass(const Network &net, const NetworkPlan &plan,
-                const std::vector<Tensor> &images, int repeats)
+                const std::vector<Tensor> &images, int min_passes)
 {
     SnapeaEngine engine(net, plan);
     engine.setMode(ExecMode::Serving);
-    net.forward(images[0], &engine);  // warmup
-    double best = 0.0;
-    for (int rep = 0; rep < repeats; ++rep) {
-        auto t0 = std::chrono::steady_clock::now();
-        for (const Tensor &img : images)
-            net.forward(img, &engine);
-        const double sec =
-            seconds(t0, std::chrono::steady_clock::now());
-        if (rep == 0 || sec < best)
-            best = sec;
-    }
-    return best;
+    return timeCell(
+        [&] {
+            for (const Tensor &img : images)
+                net.forward(img, &engine);
+        },
+        min_passes);
 }
 
 bool
@@ -235,42 +275,21 @@ main(int argc, char **argv)
         run.threads = t;
         run.oversubscribed = t > hw;
 
-        // Warmup (also spawns the pool's workers).
-        runInstrumentedPass(*net, plan, {data.images[0]});
-
-        // Best of `repeats`: the measured intervals are far shorter
-        // than scheduler noise on a shared machine, and the minimum
-        // is the estimator least contaminated by it.
+        // The warm-up pass also spawns the pool's workers.
         InstrResult ir;
-        for (int rep = 0; rep < repeats; ++rep) {
-            auto t0 = std::chrono::steady_clock::now();
-            InstrResult cur =
-                runInstrumentedPass(*net, plan, data.images);
-            auto t1 = std::chrono::steady_clock::now();
-            const double sec = seconds(t0, t1);
-            if (rep == 0 || sec < run.instr_sec)
-                run.instr_sec = sec;
-            ir = std::move(cur);
-        }
-        run.instr_imgs_per_sec = data.images.size() / run.instr_sec;
-        run.instr_macs_per_sec = ir.macs_performed / run.instr_sec;
+        run.instr = timeCell(
+            [&] { ir = runInstrumentedPass(*net, plan, data.images); },
+            repeats);
+        run.instr_macs_per_sec = ir.macs_performed / run.instr.median;
 
         SnapeaEngine fast(*net, plan);
         fast.setMode(ExecMode::Fast);
-        accuracy(*net, data, &fast);  // warmup
-        for (int rep = 0; rep < repeats; ++rep) {
-            auto t0 = std::chrono::steady_clock::now();
-            accuracy(*net, data, &fast);
-            auto t1 = std::chrono::steady_clock::now();
-            const double sec = seconds(t0, t1);
-            if (rep == 0 || sec < run.fast_sec)
-                run.fast_sec = sec;
-        }
-        run.fast_imgs_per_sec = data.images.size() / run.fast_sec;
+        run.fast = timeCell([&] { accuracy(*net, data, &fast); },
+                            repeats);
 
-        run.serve_exact_sec =
+        run.serve_exact =
             timeServingPass(*net, exact_plan, data.images, repeats);
-        run.serve_pred_sec =
+        run.serve_pred =
             timeServingPass(*net, plan, data.images, repeats);
 
         if (t == 1)
@@ -302,32 +321,33 @@ main(int argc, char **argv)
                 && r.threads > speedup_run->threads)
                 speedup_run = &r;
     }
-    const double speedup8 =
-        speedup_run->instr_imgs_per_sec / r1.instr_imgs_per_sec;
+    const double speedup8 = r1.instr.median / speedup_run->instr.median;
 
     const kernels::CpuInfo &cpu = kernels::cpuInfo();
     const kernels::KernelOps &kops = kernels::kernelOps();
 
-    const size_t n_img = data.images.size();
+    const double n_img = static_cast<double>(data.images.size());
+    // Images per second at the median pass, with the quartile range.
+    const auto rate = [&](const Cell &c) {
+        char b[64];
+        std::snprintf(b, sizeof(b), "%.1f [%.1f-%.1f]", n_img / c.median,
+                      n_img / c.q3, n_img / c.q1);
+        return std::string(b);
+    };
     Table tbl({"Threads", "Instr img/s", "Instr MMAC/s", "Fast img/s",
                "Serve-exact img/s", "Serve-pred img/s", "Note"});
-    char buf[6][64];
     for (const Run &r : runs) {
-        std::snprintf(buf[0], sizeof(buf[0]), "%d", r.threads);
-        std::snprintf(buf[1], sizeof(buf[1]), "%.2f",
-                      r.instr_imgs_per_sec);
-        std::snprintf(buf[2], sizeof(buf[2]), "%.2f",
+        char mmac[32];
+        std::snprintf(mmac, sizeof(mmac), "%.2f",
                       r.instr_macs_per_sec / 1e6);
-        std::snprintf(buf[3], sizeof(buf[3]), "%.2f",
-                      r.fast_imgs_per_sec);
-        std::snprintf(buf[4], sizeof(buf[4]), "%.2f",
-                      n_img / r.serve_exact_sec);
-        std::snprintf(buf[5], sizeof(buf[5]), "%.2f",
-                      n_img / r.serve_pred_sec);
-        tbl.addRow({buf[0], buf[1], buf[2], buf[3], buf[4], buf[5],
+        tbl.addRow({std::to_string(r.threads), rate(r.instr), mmac,
+                    rate(r.fast), rate(r.serve_exact), rate(r.serve_pred),
                     r.oversubscribed ? "oversubscribed" : ""});
     }
     tbl.print();
+    std::printf("\nimg/s at the median pass [quartiles]; each cell "
+                "timed for >= %.1f s and >= %d passes\n",
+                kCellSeconds, repeats);
     std::printf("\nsimd: %s (%d lanes), l1d %zu KiB, l2 %zu KiB, "
                 "hardware threads: %d\n",
                 kops.name, kops.lanes, cpu.l1d_bytes / 1024,
@@ -353,7 +373,8 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"model\": \"%s\",\n", model_name.c_str());
     std::fprintf(f, "  \"input_size\": %d,\n", input_px);
     std::fprintf(f, "  \"images\": %zu,\n", data.images.size());
-    std::fprintf(f, "  \"repeats\": %d,\n", repeats);
+    std::fprintf(f, "  \"min_passes\": %d,\n", repeats);
+    std::fprintf(f, "  \"cell_seconds\": %.1f,\n", kCellSeconds);
     std::fprintf(f, "  \"cpu\": {\"simd\": \"%s\", \"lanes\": %d, "
                  "\"l1d_bytes\": %zu, \"l2_bytes\": %zu, "
                  "\"hardware_threads\": %d},\n",
@@ -369,27 +390,30 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"speedup_measured_at_threads\": %d,\n",
                  speedup_run->threads);
     std::fprintf(f, "  \"runs\": [\n");
+    // Per mode: seconds of the median pass, images per second at it,
+    // the images-per-second quartiles and the pass count.
+    const auto cellJson = [&](const char *name, const Cell &c) {
+        std::fprintf(f,
+                     "\"%s_sec\": %.5f, \"%s_images_per_sec\": %.3f, "
+                     "\"%s_images_per_sec_q1\": %.3f, "
+                     "\"%s_images_per_sec_q3\": %.3f, "
+                     "\"%s_passes\": %d",
+                     name, c.median, name, n_img / c.median, name,
+                     n_img / c.q3, name, n_img / c.q1, name, c.passes);
+    };
     for (size_t i = 0; i < runs.size(); ++i) {
         const Run &r = runs[i];
-        std::fprintf(f,
-                     "    {\"threads\": %d, "
-                     "\"oversubscribed\": %s, "
-                     "\"instrumented_sec\": %.4f, "
-                     "\"instrumented_images_per_sec\": %.3f, "
-                     "\"instrumented_macs_per_sec\": %.0f, "
-                     "\"fast_sec\": %.4f, "
-                     "\"fast_images_per_sec\": %.3f, "
-                     "\"serving_exact_sec\": %.4f, "
-                     "\"serving_exact_images_per_sec\": %.3f, "
-                     "\"serving_predictive_sec\": %.4f, "
-                     "\"serving_predictive_images_per_sec\": %.3f}%s\n",
-                     r.threads, r.oversubscribed ? "true" : "false",
-                     r.instr_sec, r.instr_imgs_per_sec,
-                     r.instr_macs_per_sec, r.fast_sec,
-                     r.fast_imgs_per_sec, r.serve_exact_sec,
-                     n_img / r.serve_exact_sec, r.serve_pred_sec,
-                     n_img / r.serve_pred_sec,
-                     i + 1 < runs.size() ? "," : "");
+        std::fprintf(f, "    {\"threads\": %d, \"oversubscribed\": %s, ",
+                     r.threads, r.oversubscribed ? "true" : "false");
+        cellJson("instrumented", r.instr);
+        std::fprintf(f, ", \"instrumented_macs_per_sec\": %.0f, ",
+                     r.instr_macs_per_sec);
+        cellJson("fast", r.fast);
+        std::fprintf(f, ", ");
+        cellJson("serving_exact", r.serve_exact);
+        std::fprintf(f, ", ");
+        cellJson("serving_predictive", r.serve_pred);
+        std::fprintf(f, "}%s\n", i + 1 < runs.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

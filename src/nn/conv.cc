@@ -1,5 +1,7 @@
 #include "nn/conv.hh"
 
+#include <algorithm>
+
 #include "snapea/kernels/kernels.hh"
 #include "util/logging.hh"
 #include "util/thread_pool.hh"
@@ -9,273 +11,178 @@ namespace snapea {
 namespace {
 
 /**
- * Flat input offset of every interior tap in (ic, ky, kx) order —
- * the accumulation order of the scalar loop.  Group-relative: the
- * group's channel base lands in the window base pointer.
+ * The calling thread's padded input copy (padInput).  One conv call
+ * pads on the thread that makes it, and Fast mode is re-entrant from
+ * the evaluator's parallel image loop, so one buffer per layer or
+ * engine would race.
+ */
+thread_local std::vector<float> tl_padded;
+
+/** Each pool worker's span of conv_row results. */
+thread_local std::vector<float> tl_span;
+
+/**
+ * Flat offset of every tap in (ic, ky, kx) order — the accumulation
+ * order of the plain loop — in the padded geometry of @p pw.
+ * Group-relative: the group's channel base lands in the window base
+ * pointer.
  */
 std::vector<int32_t>
-interiorTapOffsets(int cin_g, int k, int ih, int iw)
+tapOffsets(int cin_g, int k, const PaddedWalk &pw)
 {
     std::vector<int32_t> off(static_cast<size_t>(cin_g) * k * k);
-    int t = 0;
+    size_t t = 0;
     for (int ic = 0; ic < cin_g; ++ic)
         for (int ky = 0; ky < k; ++ky)
             for (int kx = 0; kx < k; ++kx, ++t)
-                off[t] = (ic * ih + ky) * iw + kx;
+                off[t] = static_cast<int32_t>(
+                    ic * pw.plane + static_cast<size_t>(ky) * pw.iwp
+                    + kx);
     return off;
 }
 
-/**
- * Tap subset of a vertically-clipped output row: the taps whose ky
- * lands inside the input for window origin @p iy0, in the same
- * (ic, ky, kx) order the full table uses, with offsets rebased to
- * the channel plane (iy0 folded in) so the window base pointer never
- * points before the input.  Horizontally-interior windows of such a
- * row run through the row kernel with this subset; per-channel
- * subset weights are gathered by @p idx.
- */
-struct RowSubset
+/** Shared read-only context of one dense walk over a padded input. */
+struct DenseWalk
 {
-    std::vector<int32_t> idx;  ///< Tap index into the full kernel.
-    std::vector<int32_t> off;  ///< Channel-plane-relative offset.
-};
-
-RowSubset
-clippedRowSubset(int cin_g, int k, int ih, int iw, int iy0)
-{
-    RowSubset s;
-    for (int ic = 0; ic < cin_g; ++ic)
-        for (int ky = 0; ky < k; ++ky) {
-            const int iy = iy0 + ky;
-            if (iy < 0 || iy >= ih)
-                continue;
-            for (int kx = 0; kx < k; ++kx) {
-                s.idx.push_back((ic * k + ky) * k + kx);
-                s.off.push_back((ic * ih + iy) * iw + kx);
-            }
-        }
-    return s;
-}
-
-/** Per output row: its subset when vertically clipped, else empty. */
-std::vector<RowSubset>
-clippedRowSubsets(int cin_g, int k, int ih, int iw, int oh, int stride,
-                  int pad)
-{
-    std::vector<RowSubset> subs(static_cast<size_t>(oh));
-    for (int y = 0; y < oh; ++y) {
-        const int iy0 = y * stride - pad;
-        if (iy0 < 0 || iy0 + k > ih)
-            subs[y] = clippedRowSubset(cin_g, k, ih, iw, iy0);
-    }
-    return subs;
-}
-
-/** Shared read-only context of the per-channel row path. */
-struct RowPathCtx
-{
-    const Tensor &in;
+    const PaddedWalk &pw;
     Tensor &out;
     const Tensor &weights;
     const std::vector<float> &bias;
-    const ConvSpec &spec;
-    int k, cin_g, cout_g, ks, ih, iw, oh, ow;
-    int panel, xlo, xhi;
-    const std::vector<int32_t> &off;
-    const std::vector<RowSubset> &row_subset;
+    int cin_g, cout_g, ks, panel;
+    std::vector<int32_t> off;
     const kernels::KernelOps &kops;
+
+    /** Padded input of output channel @p o's group. */
+    const float *groupBase(int o) const
+    {
+        return pw.in + static_cast<size_t>(o / cout_g) * cin_g * pw.plane;
+    }
 };
 
 /**
- * Window-per-lane row path for one output channel: the dispatched
- * row kernel sweeps the horizontally-interior span of every row
- * (vertically-clipped rows through their tap subset), and only the
- * few edge columns per row take the scalar skip-out-of-bounds loop.
+ * Window-per-lane path for output channel @p o: the row kernel walks
+ * each span of the padded plane, and the kept windows are copied out
+ * row by row.
  */
 void
-rowPathChannel(const RowPathCtx &c, int o)
+rowPathChannel(const DenseWalk &d, int o)
 {
-    const int g = o / c.cout_g;
-    const int ic0 = g * c.cin_g;
-    const float *w = c.weights.data() + static_cast<size_t>(o) * c.ks;
-    const float b = c.bias[o];
-    const float *chan0 = c.in.data()
-        + static_cast<size_t>(ic0) * c.ih * c.iw;
-
-    const auto scalarSpan = [&](int iy0, float *orow, int x0, int x1) {
-        for (int x = x0; x < x1; ++x) {
-            const int ix0 = x * c.spec.stride - c.spec.pad;
-            float acc = b;
-            for (int ic = 0; ic < c.cin_g; ++ic) {
-                const float *in_ch = c.in.data()
-                    + static_cast<size_t>(ic0 + ic) * c.ih * c.iw;
-                const float *w_ch =
-                    w + static_cast<size_t>(ic) * c.k * c.k;
-                for (int ky = 0; ky < c.k; ++ky) {
-                    const int iy = iy0 + ky;
-                    if (iy < 0 || iy >= c.ih)
-                        continue;
-                    const float *in_row =
-                        in_ch + static_cast<size_t>(iy) * c.iw;
-                    const float *w_row = w_ch + ky * c.k;
-                    for (int kx = 0; kx < c.k; ++kx) {
-                        const int ix = ix0 + kx;
-                        if (ix < 0 || ix >= c.iw)
-                            continue;
-                        acc += in_row[ix] * w_row[kx];
-                    }
-                }
-            }
-            orow[x] = acc;
-        }
-    };
-
-    // Per-channel weights gathered for the current clipped row.
-    std::vector<float> wsub;
-
-    for (int y = 0; y < c.oh; ++y) {
-        const int iy0 = y * c.spec.stride - c.spec.pad;
-        float *orow = c.out.data()
-            + (static_cast<size_t>(o) * c.oh + y) * c.ow;
-        if (c.xhi <= c.xlo) {
-            scalarSpan(iy0, orow, 0, c.ow);
-            continue;
-        }
-        scalarSpan(iy0, orow, 0, c.xlo);
-        if (iy0 >= 0 && iy0 + c.k <= c.ih) {
-            const float *win0 = chan0
-                + static_cast<size_t>(iy0) * c.iw
-                + (c.xlo * c.spec.stride - c.spec.pad);
-            c.kops.conv_row(win0, c.spec.stride, c.xhi - c.xlo, w,
-                            c.off.data(), c.ks, c.panel, b,
-                            orow + c.xlo);
-        } else {
-            const RowSubset &rs = c.row_subset[y];
-            const int nsub = static_cast<int>(rs.idx.size());
-            wsub.resize(rs.idx.size());
-            for (int j = 0; j < nsub; ++j)
-                wsub[j] = w[rs.idx[j]];
-            // Offsets are channel-plane-relative (iy folded in), so
-            // the base pointer carries only the x origin.
-            const float *win0 =
-                chan0 + (c.xlo * c.spec.stride - c.spec.pad);
-            c.kops.conv_row(win0, c.spec.stride, c.xhi - c.xlo,
-                            wsub.data(), rs.off.data(), nsub, c.panel,
-                            b, orow + c.xlo);
-        }
-        scalarSpan(iy0, orow, c.xhi, c.ow);
-    }
+    const PaddedWalk &pw = d.pw;
+    const float *base = d.groupBase(o);
+    const float *w = d.weights.data() + static_cast<size_t>(o) * d.ks;
+    if (tl_span.size() < static_cast<size_t>(pw.n))
+        tl_span.resize(pw.n);
+    float *res = tl_span.data();
+    float *dst = d.out.data() + static_cast<size_t>(o) * pw.oh * pw.ow;
+    pw.forEachSpan(
+        [&](size_t first) {
+            d.kops.conv_row(base + first, pw.stride, pw.n, w,
+                            d.off.data(), d.ks, d.panel, d.bias[o], res);
+        },
+        [&](int y, size_t i0) {
+            std::copy_n(res + i0, pw.ow,
+                        dst + static_cast<size_t>(y) * pw.ow);
+        });
 }
 
 /**
- * Feature maps below this window count run channel-major: eight
+ * Feature maps up to this many windows run channel-major: eight
  * output channels per lane-register instead of eight windows, since
- * tiny maps leave the row kernels with one- and two-window spans.
+ * on 2-5 px maps a span leaves most lanes of the row kernels empty.
  */
 constexpr int kChanMajorMaxWindows = 64;
 
-/** Window lists of the channel-major path, shared by all chunks. */
-struct ChanWindows
+/** Origin offset of every output window, in (y, x) order. */
+std::vector<size_t>
+windowOrigins(const PaddedWalk &pw)
 {
-    struct Border
-    {
-        int pos = 0;               ///< y*ow + x in the output plane.
-        std::vector<int32_t> idx;  ///< Tap index into the full kernel.
-        std::vector<int32_t> off;  ///< Group-plane-relative offset.
-    };
-    std::vector<int> interior_pos;       ///< y*ow + x per window.
-    std::vector<int32_t> interior_base;  ///< iy0*iw + ix0 per window.
-    std::vector<Border> border;
-};
-
-ChanWindows
-chanWindows(int cin_g, int k, int ih, int iw, int oh, int ow,
-            int stride, int pad)
-{
-    ChanWindows cw;
-    for (int y = 0; y < oh; ++y) {
-        const int iy0 = y * stride - pad;
-        for (int x = 0; x < ow; ++x) {
-            const int ix0 = x * stride - pad;
-            if (iy0 >= 0 && iy0 + k <= ih && ix0 >= 0
-                && ix0 + k <= iw) {
-                cw.interior_pos.push_back(y * ow + x);
-                cw.interior_base.push_back(iy0 * iw + ix0);
-                continue;
-            }
-            ChanWindows::Border b;
-            b.pos = y * ow + x;
-            for (int ic = 0; ic < cin_g; ++ic)
-                for (int ky = 0; ky < k; ++ky) {
-                    const int iy = iy0 + ky;
-                    if (iy < 0 || iy >= ih)
-                        continue;
-                    for (int kx = 0; kx < k; ++kx) {
-                        const int ix = ix0 + kx;
-                        if (ix < 0 || ix >= iw)
-                            continue;
-                        b.idx.push_back((ic * k + ky) * k + kx);
-                        b.off.push_back((ic * ih + iy) * iw + ix);
-                    }
-                }
-            cw.border.push_back(std::move(b));
-        }
-    }
-    return cw;
+    std::vector<size_t> origins;
+    origins.reserve(static_cast<size_t>(pw.oh) * pw.ow);
+    for (int y = 0; y < pw.oh; ++y)
+        for (int x = 0; x < pw.ow; ++x)
+            origins.push_back(pw.origin(y, x));
+    SNAPEA_DCHECK(origins.back() + static_cast<size_t>(pw.max_off)
+                  < pw.size);
+    return origins;
 }
 
 /**
- * Run one chunk of eight output channels through the channel-major
- * kernel: transpose the chunk's weights to tap-major form, batch the
- * interior windows, then each border window with its tap subset.
+ * Run one chunk of eight output channels, from @p o0, through the
+ * channel-major kernel: transpose the chunk's weights to tap-major
+ * form and walk every window of the map in one call.
  */
 void
-chanMajorChunk(const RowPathCtx &c, const ChanWindows &cw, int g,
+chanMajorChunk(const DenseWalk &d, const std::vector<size_t> &origins,
                int o0)
 {
-    const float *chan0 = c.in.data()
-        + static_cast<size_t>(g) * c.cin_g * c.ih * c.iw;
-
-    std::vector<float> wt(static_cast<size_t>(c.ks) * 8);
-    for (int l = 0; l < 8; ++l) {
-        const float *w = c.weights.data()
-            + static_cast<size_t>(o0 + l) * c.ks;
-        for (int t = 0; t < c.ks; ++t)
-            wt[static_cast<size_t>(t) * 8 + l] = w[t];
-    }
+    const float *base = d.groupBase(o0);
+    std::vector<float> wt(static_cast<size_t>(d.ks) * 8);
     float bias8[8];
-    for (int l = 0; l < 8; ++l)
-        bias8[l] = c.bias[o0 + l];
+    for (int l = 0; l < 8; ++l) {
+        const float *w = d.weights.data()
+            + static_cast<size_t>(o0 + l) * d.ks;
+        for (int t = 0; t < d.ks; ++t)
+            wt[static_cast<size_t>(t) * 8 + l] = w[t];
+        bias8[l] = d.bias[o0 + l];
+    }
 
-    const size_t plane = static_cast<size_t>(c.oh) * c.ow;
-    float *out0 = c.out.data() + static_cast<size_t>(o0) * plane;
-
-    const int nwin = static_cast<int>(cw.interior_pos.size());
-    std::vector<const float *> bases(static_cast<size_t>(nwin));
+    const int nwin = static_cast<int>(origins.size());
+    std::vector<const float *> bases(origins.size());
     for (int w = 0; w < nwin; ++w)
-        bases[w] = chan0 + cw.interior_base[w];
-    std::vector<float> out8s(static_cast<size_t>(std::max(nwin, 1))
-                             * 8);
-    if (nwin > 0) {
-        c.kops.conv_chan(wt.data(), bias8, bases.data(), nwin,
-                         c.off.data(), nullptr, c.ks, out8s.data());
-        for (int w = 0; w < nwin; ++w)
-            for (int l = 0; l < 8; ++l)
-                out0[l * plane + cw.interior_pos[w]] =
-                    out8s[static_cast<size_t>(w) * 8 + l];
-    }
-    for (const ChanWindows::Border &b : cw.border) {
-        const float *base = chan0;
-        c.kops.conv_chan(wt.data(), bias8, &base, 1, b.off.data(),
-                         b.idx.data(),
-                         static_cast<int>(b.idx.size()),
-                         out8s.data());
+        bases[w] = base + origins[w];
+    std::vector<float> out8s(origins.size() * 8);
+    d.kops.conv_chan(wt.data(), bias8, bases.data(), nwin, d.off.data(),
+                     d.ks, out8s.data());
+
+    const size_t plane = origins.size();
+    float *out0 = d.out.data() + static_cast<size_t>(o0) * plane;
+    for (int w = 0; w < nwin; ++w)
         for (int l = 0; l < 8; ++l)
-            out0[l * plane + b.pos] = out8s[l];
-    }
+            out0[l * plane + w] = out8s[static_cast<size_t>(w) * 8 + l];
 }
 
 } // namespace
+
+PaddedWalk
+padInput(const Tensor &in, const ConvSpec &spec)
+{
+    const int ch = in.dim(0), ih = in.dim(1), iw = in.dim(2);
+    const int pad = spec.pad, k = spec.kernel, stride = spec.stride;
+    const int ihp = ih + 2 * pad;
+    const int lanes = kernels::kernelOps().lanes;
+
+    PaddedWalk pw;
+    pw.iwp = iw + 2 * pad;
+    pw.plane = static_cast<size_t>(ihp) * pw.iwp;
+    pw.oh = (ihp - k) / stride + 1;
+    pw.ow = (pw.iwp - k) / stride + 1;
+    pw.stride = stride;
+    pw.rows = stride == 1 ? pw.oh : 1;
+    const int span = (pw.rows - 1) * pw.iwp + pw.ow;
+    pw.n = (span + lanes - 1) / lanes * lanes;
+    pw.max_off = static_cast<int32_t>(
+        ((ch - 1) * static_cast<size_t>(ihp) + k - 1) * pw.iwp + k - 1);
+
+    tl_padded.assign(
+        ch * pw.plane + static_cast<size_t>(pw.n - span) * stride, 0.0f);
+    int negative = 0;
+    for (int c = 0; c < ch; ++c) {
+        for (int y = 0; y < ih; ++y) {
+            const float *src =
+                in.data() + (static_cast<size_t>(c) * ih + y) * iw;
+            float *dst = tl_padded.data() + c * pw.plane
+                + static_cast<size_t>(y + pad) * pw.iwp + pad;
+            for (int x = 0; x < iw; ++x) {
+                dst[x] = src[x];
+                negative |= !(src[x] >= 0.0f);
+            }
+        }
+    }
+    pw.nonneg = !negative;
+    pw.in = tl_padded.data();
+    pw.size = tl_padded.size();
+    return pw;
+}
 
 Conv2D::Conv2D(std::string name, const ConvSpec &spec)
     : Layer(std::move(name), LayerKind::Conv),
@@ -365,78 +272,64 @@ Conv2D::forward(const std::vector<const Tensor *> &inputs) const
 void
 Conv2D::forwardInto(const Tensor &in, Tensor &out) const
 {
-    const int ih = in.dim(1), iw = in.dim(2);
-    const int oh = out.dim(1), ow = out.dim(2);
     SNAPEA_ASSERT(in.dim(0) == spec_.in_channels);
     SNAPEA_ASSERT(out.dim(0) == spec_.out_channels
-                  && oh == outDim(ih) && ow == outDim(iw));
-    const int k = spec_.kernel;
+                  && out.dim(1) == outDim(in.dim(1))
+                  && out.dim(2) == outDim(in.dim(2)));
+    forwardPadded(padInput(in, spec_), out);
+}
+
+void
+Conv2D::forwardPadded(const PaddedWalk &pw, Tensor &out) const
+{
+    SNAPEA_ASSERT(out.dim(0) == spec_.out_channels && out.dim(1) == pw.oh
+                  && out.dim(2) == pw.ow && pw.stride == spec_.stride);
+    SNAPEA_ASSERT(pw.plane * spec_.in_channels <= pw.size);
     const int cin_g = spec_.in_channels / spec_.groups;
     const int cout_g = spec_.out_channels / spec_.groups;
     const int ks = kernelSize();
 
-    // Interior windows touch no padding, so every tap reduces to one
-    // flat offset from the window origin, identical for every output
-    // channel.  Build the table once and let the dispatched row
-    // kernel sweep the interior span of each row.  Vertically-
-    // clipped rows get per-row-class tap subsets so their
-    // horizontally-interior windows also run through the row kernel;
-    // only the few edge columns per row keep the scalar
-    // skip-out-of-bounds path below.
-    const std::vector<int32_t> off =
-        interiorTapOffsets(cin_g, k, ih, iw);
-    const kernels::KernelOps &kops = kernels::kernelOps();
-    const int panel = kernels::panelTaps(ks);
-    int xlo, xhi;
-    kernels::interiorXSpan(iw, k, spec_.stride, spec_.pad, ow, &xlo,
-                           &xhi);
+    // Every window of the padded input is interior, so every tap is
+    // one flat offset from the window origin, the same for every
+    // window and output channel: one table for the whole layer.
+    const DenseWalk d{pw, out, weights_, bias_, cin_g, cout_g, ks,
+                      kernels::panelTaps(ks),
+                      tapOffsets(cin_g, spec_.kernel, pw),
+                      kernels::kernelOps()};
 
-    const std::vector<RowSubset> row_subset = clippedRowSubsets(
-        cin_g, k, ih, iw, oh, spec_.stride, spec_.pad);
-
-    const RowPathCtx ctx{in, out, weights_, bias_, spec_,
-                         k, cin_g, cout_g, ks, ih, iw, oh, ow,
-                         panel, xlo, xhi, off, row_subset, kops};
-
-    // Tiny feature maps leave the row kernels with one- and two-
-    // window spans, so they dispatch channel-major: chunks of eight
-    // output channels ride the lanes and share each window's taps.
-    // Channels past the last full chunk take the row path.
-    const bool chan_major =
-        oh * ow <= kChanMajorMaxWindows && cout_g >= 8;
-    if (chan_major) {
-        const ChanWindows cw = chanWindows(cin_g, k, ih, iw, oh, ow,
-                                           spec_.stride, spec_.pad);
-        const int chunks = cout_g / 8;
-        const int rem = cout_g % 8;
-        const std::int64_t nchunk = static_cast<std::int64_t>(
-            spec_.groups) * chunks;
-        // Chunks and remainder channels write disjoint output planes,
-        // so the result bits do not depend on the thread count.
-        util::parallel_for(
-            0, nchunk + static_cast<std::int64_t>(spec_.groups) * rem,
-            1, [&](std::int64_t i) {
-                if (i < nchunk) {
-                    const int g = static_cast<int>(i / chunks);
-                    const int chunk = static_cast<int>(i % chunks);
-                    chanMajorChunk(ctx, cw, g,
-                                   g * cout_g + chunk * 8);
-                } else {
-                    const std::int64_t j = i - nchunk;
-                    const int g = static_cast<int>(j / rem);
-                    const int r = static_cast<int>(j % rem);
-                    rowPathChannel(ctx, g * cout_g + chunks * 8 + r);
-                }
-            });
+    // Output channels write disjoint planes, so the per-channel
+    // arithmetic (and thus the result bits) does not depend on the
+    // thread count.
+    if (pw.oh * pw.ow > kChanMajorMaxWindows || cout_g < 8) {
+        util::parallel_for(0, spec_.out_channels, 1,
+                           [&](std::int64_t o) {
+                               rowPathChannel(d, static_cast<int>(o));
+                           });
         return;
     }
 
-    // Output channels are independent and write disjoint planes, so
-    // the per-channel arithmetic (and thus the result bits) does not
-    // depend on the thread count.
-    util::parallel_for(0, spec_.out_channels, 1, [&](std::int64_t oi) {
-        rowPathChannel(ctx, static_cast<int>(oi));
-    });
+    // Tiny maps run channel-major: chunks of eight output channels
+    // ride the lanes and share each window's taps.  Channels past the
+    // last full chunk of a group take the row path.
+    const std::vector<size_t> origins = windowOrigins(pw);
+    const int chunks = cout_g / 8;
+    const int rem = cout_g % 8;
+    const std::int64_t nchunk =
+        static_cast<std::int64_t>(spec_.groups) * chunks;
+    util::parallel_for(
+        0, nchunk + static_cast<std::int64_t>(spec_.groups) * rem, 1,
+        [&](std::int64_t i) {
+            if (i < nchunk) {
+                const int g = static_cast<int>(i / chunks);
+                const int chunk = static_cast<int>(i % chunks);
+                chanMajorChunk(d, origins, g * cout_g + chunk * 8);
+            } else {
+                const std::int64_t j = i - nchunk;
+                const int g = static_cast<int>(j / rem);
+                const int r = static_cast<int>(j % rem);
+                rowPathChannel(d, g * cout_g + chunks * 8 + r);
+            }
+        });
 }
 
 } // namespace snapea

@@ -195,53 +195,6 @@ walkWindow(const PreparedKernel &pk, const Tensor &in, int iy0, int ix0,
     return res;
 }
 
-/**
- * One conv call's walk over its zero-padded input.  In the padded
- * geometry every window is interior, so a single row-kernel call
- * covers a span of windows at the layer's stride:
- *
- *  - a stride-1 layer walks each output plane as one span of
- *    (oh-1)*iwp + ow windows, output (y, x) at y*iwp + x; the k-1
- *    windows that wrap around the end of each padded row are
- *    computed and dropped;
- *  - a strided layer walks one span of ow windows per output row.
- *
- * Spans round up to the lane count so the last tile runs full-width;
- * those extra windows read the buffer's zero slack and are dropped
- * too.  Padding taps read 0.0f, exactly what the bounds-checked
- * reference walk (walkWindow) substitutes, and still count as ops,
- * so results are bitwise those of the reference.
- */
-struct PaddedWalk
-{
-    const float *in = nullptr;  ///< Padded input, channel-major.
-    size_t size = 0;            ///< Floats in the buffer, slack included.
-    int oh = 0, ow = 0, stride = 1;
-    int iwp = 0;                ///< Padded row width.
-    int rows = 1;               ///< Output rows per span.
-    int n = 0;                  ///< Windows walked per span.
-    int32_t max_off = 0;        ///< Furthest tap of any kernel.
-    bool nonneg = true;         ///< Every input value is >= 0.
-
-    /**
-     * Walk each span with @p walk(win0), then hand its output rows
-     * to @p row(y, i0), where result i0 + x is output (y, x).
-     */
-    template <class Walk, class Row>
-    void forEachSpan(Walk &&walk, Row &&row) const
-    {
-        for (int y0 = 0; y0 < oh; y0 += rows) {
-            const size_t first = static_cast<size_t>(y0) * stride * iwp;
-            SNAPEA_DCHECK(first + static_cast<size_t>(n - 1) * stride
-                              + static_cast<size_t>(max_off)
-                          < size);
-            walk(in + first);
-            for (int r = 0; r < rows; ++r)
-                row(y0 + r, static_cast<size_t>(r) * iwp);
-        }
-    }
-};
-
 namespace {
 
 /** One span of walk results in SoA form (kernels::WalkSoa). */
@@ -264,66 +217,11 @@ struct WalkRow
 };
 
 /**
- * The padded walk's per-thread buffers.  The padded input copy
- * belongs to the thread that makes the conv call: Fast mode is
- * re-entrant from the evaluator's parallel image loop, so one buffer
- * per engine would race.  The span of walk results belongs to each
- * pool worker that walks kernels of the call.
+ * Each pool worker's span of walk results.  The padded input copy
+ * (padInput, nn/conv.hh) belongs to the thread that makes the conv
+ * call.
  */
-struct ThreadBuffers
-{
-    std::vector<float> padded;
-    WalkRow span;
-};
-
-thread_local ThreadBuffers tl_buffers;
-
-/**
- * Copy @p in into the calling thread's zero-padded buffer and lay out
- * the spans for an output of @p oh x @p ow.  The copy also records
- * whether every input value is >= 0 (a NaN is not), the input half
- * of walk_row's block-check precondition.
- */
-PaddedWalk
-padInput(const Tensor &in, int pad, int stride, int oh, int ow,
-         int32_t max_off)
-{
-    const int ch = in.dim(0), ih = in.dim(1), iw = in.dim(2);
-    const int ihp = ih + 2 * pad;
-    const int lanes = kernels::kernelOps().lanes;
-
-    PaddedWalk pw;
-    pw.oh = oh;
-    pw.ow = ow;
-    pw.stride = stride;
-    pw.iwp = iw + 2 * pad;
-    pw.rows = stride == 1 ? oh : 1;
-    const int span = (pw.rows - 1) * pw.iwp + ow;
-    pw.n = (span + lanes - 1) / lanes * lanes;
-    pw.max_off = max_off;
-
-    std::vector<float> &buf = tl_buffers.padded;
-    const size_t plane = static_cast<size_t>(ihp) * pw.iwp;
-    buf.assign(ch * plane + static_cast<size_t>(pw.n - span) * stride,
-               0.0f);
-    int negative = 0;
-    for (int c = 0; c < ch; ++c) {
-        for (int y = 0; y < ih; ++y) {
-            const float *src =
-                in.data() + (static_cast<size_t>(c) * ih + y) * iw;
-            float *dst = buf.data() + c * plane
-                + static_cast<size_t>(y + pad) * pw.iwp + pad;
-            for (int x = 0; x < iw; ++x) {
-                dst[x] = src[x];
-                negative |= !(src[x] >= 0.0f);
-            }
-        }
-    }
-    pw.nonneg = !negative;
-    pw.in = buf.data();
-    pw.size = buf.size();
-    return pw;
-}
+thread_local WalkRow tl_span;
 
 } // namespace
 
@@ -360,10 +258,6 @@ SnapeaEngine::prepareLayer(int idx, const LayerPlan &lp) const
                 pk.w, pk.interior_off, pk.prefix_len, pk.neg_start,
                 pk.th, pk.bias);
         });
-    for (const auto &pp : pl.packed) {
-        for (int32_t off : pp.off)
-            pl.max_off = std::max(pl.max_off, off);
-    }
     for (const auto &kp : lp.kernels)
         pl.any_predictive |= kp.params.predictive();
     return pl;
@@ -418,11 +312,9 @@ SnapeaEngine::runConv(int layer_idx, const Conv2D &conv, const Tensor &in,
         return false;
 
     SNAPEA_ASSERT(in.dim(1) == pl.in_h && in.dim(2) == pl.in_w);
-    const PaddedWalk pw = padInput(in, conv.spec().pad,
-                                   conv.spec().stride, out.dim(1),
-                                   out.dim(2), pl.max_off);
+    const PaddedWalk pw = padInput(in, conv.spec());
     if (mode_ == ExecMode::Fast)
-        runFast(pl, conv, in, pw, out);
+        runFast(pl, conv, pw, out);
     else if (mode_ == ExecMode::Serving)
         runServing(pl, pw, out);
     else
@@ -432,13 +324,12 @@ SnapeaEngine::runConv(int layer_idx, const Conv2D &conv, const Tensor &in,
 
 void
 SnapeaEngine::runFast(const PreparedLayer &pl, const Conv2D &conv,
-                      const Tensor &in, const PaddedWalk &pw,
-                      Tensor &out)
+                      const PaddedWalk &pw, Tensor &out)
 {
-    // The dense pass writes straight into the caller's tensor (no
-    // per-invocation allocation); speculated windows are squashed in
-    // place below.
-    conv.forwardInto(in, out);
+    // The dense pass walks the same padded copy as the squash below
+    // (one copy per conv call) and writes straight into the caller's
+    // tensor; speculated windows are squashed in place.
+    conv.forwardPadded(pw, out);
 
     const kernels::KernelOps &kops = kernels::kernelOps();
     const size_t plane = static_cast<size_t>(pw.oh) * pw.ow;
@@ -453,12 +344,13 @@ SnapeaEngine::runFast(const PreparedLayer &pl, const Conv2D &conv,
             const kernels::PackedKernel &pp = pl.packed[o];
             if (pp.prefix_len == 0)
                 return;
-            float *res = tl_buffers.span.soa(pw.n).out;
+            float *res = tl_span.soa(pw.n).out;
             float *dst = out.data() + o * plane;
             pw.forEachSpan(
-                [&](const float *win0) {
+                [&](size_t first) {
                     std::fill_n(res, pw.n, 0.0f);
-                    kops.prefix_row(pp, win0, pw.stride, pw.n, res);
+                    kops.prefix_row(pp, pw.in + first, pw.stride, pw.n,
+                                    res);
                 },
                 [&](int y, size_t i0) {
                     float *orow = dst + static_cast<size_t>(y) * pw.ow;
@@ -488,12 +380,12 @@ SnapeaEngine::runServing(const PreparedLayer &pl, const PaddedWalk &pw,
         0, static_cast<std::int64_t>(pl.packed.size()), 1,
         [&](std::int64_t o) {
             const kernels::PackedKernel &pp = pl.packed[o];
-            const kernels::WalkSoa soa{tl_buffers.span.soa(pw.n).out};
+            const kernels::WalkSoa soa{tl_span.soa(pw.n).out};
             float *dst = out.data() + o * plane;
             pw.forEachSpan(
-                [&](const float *win0) {
-                    kops.walk_row(pp, win0, pw.stride, pw.n, pw.nonneg,
-                                  /*need_full=*/false, soa);
+                [&](size_t first) {
+                    kops.walk_row(pp, pw.in + first, pw.stride, pw.n,
+                                  pw.nonneg, /*need_full=*/false, soa);
                 },
                 [&](int y, size_t i0) {
                     std::copy_n(soa.out + i0, pw.ow,
@@ -556,16 +448,16 @@ SnapeaEngine::runInstrumented(int layer_idx, const PreparedLayer &pl,
     util::parallel_for(0, n_ch, 1, [&](std::int64_t o) {
         LayerExecStats &p = parts_[o];
         const kernels::PackedKernel &pp = pl.packed[o];
-        const kernels::WalkSoa soa = tl_buffers.span.soa(pw.n);
+        const kernels::WalkSoa soa = tl_span.soa(pw.n);
         uint16_t *trace_ops = trace
             ? trace->ops.data() + static_cast<size_t>(o) * oh * ow
             : nullptr;
         float *plane = out.data() + static_cast<size_t>(o) * oh * ow;
         size_t widx = 0;
         pw.forEachSpan(
-            [&](const float *win0) {
-                kops.walk_row(pp, win0, pw.stride, pw.n, pw.nonneg,
-                              /*need_full=*/true, soa);
+            [&](size_t first) {
+                kops.walk_row(pp, pw.in + first, pw.stride, pw.n,
+                              pw.nonneg, /*need_full=*/true, soa);
             },
             [&](int y, size_t i0) {
                 float *orow = plane + static_cast<size_t>(y) * ow;

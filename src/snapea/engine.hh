@@ -6,10 +6,10 @@
  *
  * Three modes exist because the consumers need different costs:
  *
- *  - Fast: outputs only.  The plain convolution is computed and
- *    speculatively-negative windows are squashed using just their
- *    prefix partial sums.  This is what Algorithm 1's Simulate()
- *    runs thousands of times.
+ *  - Fast: outputs only.  The dense convolution walks the padded
+ *    copy (Conv2D::forwardPadded) and speculatively-negative windows
+ *    are squashed using just their prefix partial sums.  This is
+ *    what Algorithm 1's Simulate() runs thousands of times.
  *  - Instrumented: the honest reordered walk per window, producing
  *    Eq. (1) op counts for the cycle simulator plus the true/false
  *    negative statistics of Table V.
@@ -21,19 +21,23 @@
  * the dense convolution in the last float ulp because accumulation
  * order differs.
  *
- * Every mode copies a conv's input once into a zero-padded buffer
- * and walks every window — border windows included — on the SIMD
- * row kernels of snapea/kernels/ (several windows per lane-register,
- * early termination via vector masks).  A padding tap reads 0.0f and
- * counts as an op, exactly as the bounds-checked walkWindow/prefixSum
- * reference does, so per-window arithmetic is bitwise identical to
- * that reference in default mode (see kernels.hh for the
- * SNAPEA_RELAXED_ACCUM contract).  walkWindow/prefixSum remain the
- * reference for tests and the optimizer's own per-window walks.
+ * Every mode copies a conv's input once into the zero-padded layout
+ * the dense convolution also walks (padInput, nn/conv.hh) and walks
+ * every window — border windows included — on the SIMD row kernels
+ * of snapea/kernels/ (several windows per lane-register, early
+ * termination via vector masks).  Fast mode hands that one copy to
+ * its dense pass and then to its prefix squash.  A padding tap reads
+ * 0.0f and counts as an op, exactly as the bounds-checked
+ * walkWindow/prefixSum reference does, so per-window arithmetic is
+ * bitwise identical to that reference in default mode (see
+ * kernels.hh for the SNAPEA_RELAXED_ACCUM contract).
+ * walkWindow/prefixSum remain the reference for tests and the
+ * optimizer's own per-window walks.
  *
- * Thread-safety: the padded copy and the walk results live in
- * per-thread buffers, so Fast and Serving modes are re-entrant (the
- * evaluator drives one Fast engine from its parallel image loop).
+ * Thread-safety: the padded copy belongs to the thread that makes
+ * the conv call and the walk results to each pool worker, so Fast
+ * and Serving modes are re-entrant (the evaluator drives one Fast
+ * engine from its parallel image loop).
  * Instrumented mode mutates per-engine counters and statistics, so
  * such an engine must be driven by one thread at a time.
  */
@@ -184,8 +188,6 @@ enum class ExecMode {
     Serving,
 };
 
-struct PaddedWalk;
-
 /**
  * ConvOverride implementing SnaPEA execution for the layers present
  * in a NetworkPlan.  Layers absent from the plan run as plain
@@ -252,7 +254,6 @@ class SnapeaEngine : public ConvOverride
          */
         std::vector<kernels::PackedKernel> packed;
         int in_h = 0, in_w = 0;  ///< Unpadded input geometry.
-        int32_t max_off = 0;     ///< Furthest tap of any kernel.
         bool any_predictive = false;
     };
 
@@ -260,7 +261,7 @@ class SnapeaEngine : public ConvOverride
     PreparedLayer prepareLayer(int idx, const LayerPlan &lp) const;
 
     void runFast(const PreparedLayer &pl, const Conv2D &conv,
-                 const Tensor &in, const PaddedWalk &pw, Tensor &out);
+                 const PaddedWalk &pw, Tensor &out);
     void runServing(const PreparedLayer &pl, const PaddedWalk &pw,
                     Tensor &out);
     void runInstrumented(int layer_idx, const PreparedLayer &pl,

@@ -3,13 +3,15 @@
  * Vectorized, cache-blocked compute kernels for the SnaPEA hot paths.
  *
  * The functional simulator spends its time in three inner loops: the
- * dense convolution fallback (nn/conv.cc), the Fast-mode prefix
- * squash, and the Serving/Instrumented window walk (snapea/
- * engine.cc).  This module rewrites all three as row kernels that
- * evaluate several output windows per lane-register — the software
- * analogue of the paper's multi-lane PE, where each SIMD lane plays
- * one compute lane and the early-termination checks become vector
- * sign/threshold masks.
+ * dense convolution (nn/conv.cc), the Fast-mode prefix squash, and
+ * the Serving/Instrumented window walk (snapea/engine.cc).  This
+ * module rewrites all three as row kernels that evaluate several
+ * output windows per lane-register — the software analogue of the
+ * paper's multi-lane PE, where each SIMD lane plays one compute lane
+ * and the early-termination checks become vector sign/threshold
+ * masks.  Every caller walks one zero-padded copy of the conv input
+ * (PaddedWalk, nn/conv.hh), in which every window is interior, so no
+ * kernel has a border case: a padding tap reads 0.0f like any other.
  *
  * Layout: a kernel's taps are packed at plan-build time into
  * contiguous SoA panels (weights + flat input offsets in execution
@@ -34,7 +36,7 @@
 #ifndef SNAPEA_SNAPEA_KERNELS_KERNELS_HH
 #define SNAPEA_SNAPEA_KERNELS_KERNELS_HH
 
-#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -165,7 +167,7 @@ struct WalkSoa
  * The precondition is that every negative-run product is <= 0 and
  * never NaN: finite negative weights (PackedKernel::neg_finite) and
  * inputs in [0, +inf].  @p nonneg is the caller's promise of the
- * latter, derived from the data (padInput in engine.cc: every value
+ * latter, derived from the data (padInput in nn/conv.hh: every value
  * >= 0, a NaN counts as not).  Without both halves the vector walks
  * check every tap, which is the scalar reference's behaviour, so
  * outputs are bitwise the reference's on any input.
@@ -180,19 +182,20 @@ using WalkRowFn = void (*)(const PackedKernel &pk, const float *win0,
  * instead, and @p nwin windows sharing one tap table are processed
  * per call.  For window w and lane l,
  *
- *   out8s[w*8+l] = bias8[l]
- *       + sum_j wt[(idx ? idx[j] : j)*8 + l] * bases[w][off[j]]
+ *   out8s[w*8+l] = bias8[l] + sum_j wt[j*8 + l] * bases[w][off[j]]
  *
  * where wt holds the channel chunk's weights transposed (tap-major,
- * lane-minor) and idx, when non-null, selects the tap subset of a
- * border window.  Accumulation is serial in j per (window, lane) —
- * exactly the scalar convolution order — so every variant is bitwise
- * identical to the plain loop, not merely to each other.
+ * lane-minor).  Every tap of every window must be in bounds: the
+ * dense convolution walks a zero-padded copy, so a border window
+ * takes the full tap table too.  Accumulation is serial in j per
+ * (window, lane) — exactly the scalar convolution order — so every
+ * variant is bitwise identical to the plain loop, not merely to each
+ * other.
  */
 using ConvChanFn = void (*)(const float *wt, const float *bias8,
                             const float *const *bases, int nwin,
-                            const int32_t *off, const int32_t *idx,
-                            int ntaps, float *out8s);
+                            const int32_t *off, int ntaps,
+                            float *out8s);
 
 /**
  * Dense matvec kernel: out[o] = bias[o] + sum_i w[o*n_in+i] * x[i]
@@ -244,27 +247,6 @@ std::vector<Isa> availableIsas();
  * parallel regions).  The ISA must be available.
  */
 void setActiveIsa(Isa isa);
-
-/**
- * Largest output-x range [xlo, xhi) whose windows lie fully inside
- * an input row of width @p iw (no padding taps), for a row whose
- * vertical extent is already in bounds.  Only the dense convolution
- * (nn/conv.cc) still splits rows this way: it skips padding taps
- * instead of adding w*0, so its border windows keep a scalar path.
- * The SnaPEA engine walks a zero-padded copy instead and needs no
- * split.
- */
-inline void
-interiorXSpan(int iw, int kernel_w, int stride, int pad, int ow,
-              int *xlo, int *xhi)
-{
-    int lo = (pad + stride - 1) / stride;
-    int hi = iw - kernel_w + pad >= 0
-        ? (iw - kernel_w + pad) / stride + 1 : 0;
-    lo = std::min(lo, ow);
-    *xlo = lo;
-    *xhi = std::max(std::min(hi, ow), lo);
-}
 
 /**
  * True when SNAPEA_RELAXED_ACCUM=1: kernels may use fused

@@ -364,7 +364,7 @@ template <bool R>
 void
 convChan(const float *wt, const float *bias8,
          const float *const *bases, int nwin, const int32_t *off,
-         const int32_t *idx, int ntaps, float *out8s)
+         int ntaps, float *out8s)
 {
     const __m256 vbias = _mm256_loadu_ps(bias8);
     int w = 0;
@@ -376,8 +376,7 @@ convChan(const float *wt, const float *bias8,
         const float *b2 = bases[w + 2], *b3 = bases[w + 3];
         __m256 a0 = vbias, a1 = vbias, a2 = vbias, a3 = vbias;
         for (int j = 0; j < ntaps; ++j) {
-            const __m256 vw =
-                _mm256_loadu_ps(wt + (idx ? idx[j] : j) * 8);
+            const __m256 vw = _mm256_loadu_ps(wt + j * 8);
             const int32_t o = off[j];
             a0 = mad<R>(a0, vw, _mm256_broadcast_ss(b0 + o));
             a1 = mad<R>(a1, vw, _mm256_broadcast_ss(b1 + o));
@@ -393,8 +392,7 @@ convChan(const float *wt, const float *bias8,
         const float *base = bases[w];
         __m256 acc = vbias;
         for (int j = 0; j < ntaps; ++j) {
-            const __m256 vw =
-                _mm256_loadu_ps(wt + (idx ? idx[j] : j) * 8);
+            const __m256 vw = _mm256_loadu_ps(wt + j * 8);
             acc = mad<R>(acc, vw, _mm256_broadcast_ss(base + off[j]));
         }
         _mm256_storeu_ps(out8s + w * 8, acc);

@@ -134,7 +134,7 @@ scalarWalkRow(const PackedKernel &pk, const float *win0, int stride,
 inline void
 scalarConvChan(const float *wt, const float *bias8,
                const float *const *bases, int nwin, const int32_t *off,
-               const int32_t *idx, int ntaps, float *out8s)
+               int ntaps, float *out8s)
 {
     for (int w = 0; w < nwin; ++w) {
         const float *base = bases[w];
@@ -143,7 +143,7 @@ scalarConvChan(const float *wt, const float *bias8,
             acc[l] = bias8[l];
         for (int j = 0; j < ntaps; ++j) {
             const float x = base[off[j]];
-            const float *wr = wt + (idx ? idx[j] : j) * 8;
+            const float *wr = wt + j * 8;
             for (int l = 0; l < 8; ++l)
                 acc[l] += wr[l] * x;
         }

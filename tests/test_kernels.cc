@@ -171,10 +171,11 @@ class KernelRows : public testing::TestWithParam<KernelCase>
 
 /**
  * conv_row, prefix_row, and walk_row of every compiled SIMD variant
- * produce the scalar reference's bits for every interior row span —
- * all span lengths from 1 to the full row, so every ragged-tail
- * shape each register width can see is covered — for exact and
- * predictive plans and every walk recording policy.
+ * produce the scalar reference's bits for every output row of the
+ * zero-padded input, border rows included — all span lengths from 1
+ * to the full row, so every ragged-tail shape each register width
+ * can see is covered — for exact and predictive plans and every walk
+ * recording policy.
  */
 TEST_P(KernelRows, SimdVariantsMatchScalarBitwise)
 {
@@ -184,13 +185,8 @@ TEST_P(KernelRows, SimdVariantsMatchScalarBitwise)
                               /*groups=*/1});
     fillConv(conv, rng);
     const Tensor input = reluInput(rng, c.in_ch, c.in_hw);
-
-    const int oh = conv.outDim(c.in_hw), ow = conv.outDim(c.in_hw);
-    int xlo, xhi;
-    kernels::interiorXSpan(c.in_hw, c.k, c.stride, c.pad, ow, &xlo,
-                           &xhi);
-    if (xhi <= xlo)
-        GTEST_SKIP() << "no interior windows in this geometry";
+    const PaddedWalk pw = padInput(input, conv.spec());
+    const int ihp = c.in_hw + 2 * c.pad;
 
     SpeculationParams sp;
     sp.n_groups = 4;
@@ -204,20 +200,15 @@ TEST_P(KernelRows, SimdVariantsMatchScalarBitwise)
                 ? makePredictivePlan(conv, o, sp)
                 : makeExactPlan(conv, o);
             PreparedKernel pk = prepareKernel(conv, o, plan);
-            computeInteriorOffsets(pk, c.in_hw, c.in_hw);
+            computeInteriorOffsets(pk, ihp, pw.iwp);
             const kernels::PackedKernel packed = kernels::packKernel(
                 pk.w, pk.interior_off, pk.prefix_len, pk.neg_start,
                 pk.th, pk.bias);
             const int ks = static_cast<int>(packed.w.size());
 
-            for (int y = 0; y < oh; ++y) {
-                const int iy0 = y * c.stride - c.pad;
-                if (iy0 < 0 || iy0 + c.k > c.in_hw)
-                    continue;
-                const float *win0 = input.data()
-                    + static_cast<size_t>(iy0) * c.in_hw
-                    + (xlo * c.stride - c.pad);
-                for (int n = 1; n <= xhi - xlo; ++n) {
+            for (int y = 0; y < pw.oh; ++y) {
+                const float *win0 = pw.in + pw.origin(y, 0);
+                for (int n = 1; n <= pw.ow; ++n) {
                     WalkBufs ref(n);
                     sc.conv_row(win0, c.stride, n, packed.w.data(),
                                 packed.off.data(), ks, packed.panel,
@@ -287,8 +278,9 @@ TEST_P(KernelRows, SimdVariantsMatchScalarBitwise)
 
 /**
  * The row kernels' early-termination decisions (which check fired,
- * after how many ops) equal the scalar walkWindow's on interior
- * windows, per variant.
+ * after how many ops) on the zero-padded input equal those of
+ * walkWindow's bounds-checked path on the unpadded input, for every
+ * window, border windows included, per variant.
  */
 TEST_P(KernelRows, TerminationDecisionsMatchWalkWindow)
 {
@@ -298,32 +290,24 @@ TEST_P(KernelRows, TerminationDecisionsMatchWalkWindow)
                               /*groups=*/1});
     fillConv(conv, rng);
     const Tensor input = reluInput(rng, c.in_ch, c.in_hw);
-
-    const int oh = conv.outDim(c.in_hw), ow = conv.outDim(c.in_hw);
-    int xlo, xhi;
-    kernels::interiorXSpan(c.in_hw, c.k, c.stride, c.pad, ow, &xlo,
-                           &xhi);
-    if (xhi <= xlo)
-        GTEST_SKIP() << "no interior windows in this geometry";
+    const PaddedWalk pw = padInput(input, conv.spec());
 
     SpeculationParams sp;
     sp.n_groups = 4;
     sp.th = 0.1f;
     for (int o = 0; o < c.out_ch; ++o) {
-        PreparedKernel pk =
+        // Without interior offsets walkWindow reads every tap through
+        // its bounds check.
+        const PreparedKernel generic =
             prepareKernel(conv, o, makePredictivePlan(conv, o, sp));
-        computeInteriorOffsets(pk, c.in_hw, c.in_hw);
+        PreparedKernel pk = generic;
+        computeInteriorOffsets(pk, c.in_hw + 2 * c.pad, pw.iwp);
         const kernels::PackedKernel packed = kernels::packKernel(
             pk.w, pk.interior_off, pk.prefix_len, pk.neg_start, pk.th,
             pk.bias);
-        for (int y = 0; y < oh; ++y) {
-            const int iy0 = y * c.stride - c.pad;
-            if (iy0 < 0 || iy0 + c.k > c.in_hw)
-                continue;
-            const int n = xhi - xlo;
-            const float *win0 = input.data()
-                + static_cast<size_t>(iy0) * c.in_hw
-                + (xlo * c.stride - c.pad);
+        for (int y = 0; y < pw.oh; ++y) {
+            const int n = pw.ow;
+            const float *win0 = pw.in + pw.origin(y, 0);
             for (const kernels::Isa isa : kernels::availableIsas()) {
                 const kernels::KernelOps &ko =
                     *kernels::kernelOpsFor(isa);
@@ -332,8 +316,8 @@ TEST_P(KernelRows, TerminationDecisionsMatchWalkWindow)
                             /*need_full=*/false, got.soa());
                 for (int x = 0; x < n; ++x) {
                     const WindowWalk ww = walkWindow(
-                        pk, input, iy0,
-                        (xlo + x) * c.stride - c.pad, false);
+                        generic, input, y * c.stride - c.pad,
+                        x * c.stride - c.pad, false);
                     const std::string where =
                         std::string(kernels::isaName(isa))
                         + " o=" + std::to_string(o)
@@ -590,8 +574,7 @@ TEST(KernelDense, VariantsMatchScalarBitwise)
 
 /**
  * The channel-major kernel matches both the scalar variant and the
- * plain (ic, ky, kx) convolution loop bitwise — with and without a
- * border tap subset.
+ * plain (ic, ky, kx) convolution loop bitwise.
  */
 TEST(KernelConvChan, VariantsMatchPlainLoopBitwise)
 {
@@ -615,53 +598,33 @@ TEST(KernelConvChan, VariantsMatchPlainLoopBitwise)
             for (int kx = 0; kx < k; ++kx)
                 off.push_back((ic * ih + ky) * iw + kx);
 
-    // A strict subset, as a clipped border window would use.
-    std::vector<int32_t> sub_idx, sub_off;
-    for (int j = 0; j < ks; ++j)
-        if (j % 3 != 1) {
-            sub_idx.push_back(j);
-            sub_off.push_back(off[j]);
-        }
-
     // Window count covers full lane blocks plus ragged tails.
     for (const int nwin : {1, 2, 3, 4, 5, 8, 9}) {
         std::vector<const float *> bases;
         for (int wi = 0; wi < nwin; ++wi)
             bases.push_back(in.data() + wi % (iw - k + 1));
 
-        for (const bool subset : {false, true}) {
-            const int32_t *idx = subset ? sub_idx.data() : nullptr;
-            const int32_t *offs =
-                subset ? sub_off.data() : off.data();
-            const int ntaps =
-                subset ? static_cast<int>(sub_idx.size()) : ks;
-
-            // Plain serial loop, the module's ground truth.
-            std::vector<float> ref(static_cast<size_t>(nwin) * 8);
-            for (int wi = 0; wi < nwin; ++wi)
-                for (int l = 0; l < 8; ++l) {
-                    float acc = bias8[l];
-                    for (int j = 0; j < ntaps; ++j)
-                        acc += wt[static_cast<size_t>(
-                                      idx ? idx[j] : j)
-                                      * 8
-                                  + l]
-                            * bases[wi][offs[j]];
-                    ref[static_cast<size_t>(wi) * 8 + l] = acc;
-                }
-
-            for (const kernels::Isa isa : kernels::availableIsas()) {
-                std::vector<float> got(static_cast<size_t>(nwin) * 8,
-                                       -9.0f);
-                kernels::kernelOpsFor(isa)->conv_chan(
-                    wt.data(), bias8, bases.data(), nwin, offs, idx,
-                    ntaps, got.data());
-                EXPECT_EQ(std::memcmp(ref.data(), got.data(),
-                                      ref.size() * sizeof(float)),
-                          0)
-                    << kernels::isaName(isa) << " nwin=" << nwin
-                    << " subset=" << subset;
+        // Plain serial loop, the module's ground truth.
+        std::vector<float> ref(static_cast<size_t>(nwin) * 8);
+        for (int wi = 0; wi < nwin; ++wi)
+            for (int l = 0; l < 8; ++l) {
+                float acc = bias8[l];
+                for (int j = 0; j < ks; ++j)
+                    acc += wt[static_cast<size_t>(j) * 8 + l]
+                        * bases[wi][off[j]];
+                ref[static_cast<size_t>(wi) * 8 + l] = acc;
             }
+
+        for (const kernels::Isa isa : kernels::availableIsas()) {
+            std::vector<float> got(static_cast<size_t>(nwin) * 8,
+                                   -9.0f);
+            kernels::kernelOpsFor(isa)->conv_chan(
+                wt.data(), bias8, bases.data(), nwin, off.data(), ks,
+                got.data());
+            EXPECT_EQ(std::memcmp(ref.data(), got.data(),
+                                  ref.size() * sizeof(float)),
+                      0)
+                << kernels::isaName(isa) << " nwin=" << nwin;
         }
     }
 }
